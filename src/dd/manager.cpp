@@ -20,6 +20,21 @@ constexpr std::size_t kInitialGcThreshold = 1u << 16;
 
 bool as_bool(std::int64_t v) { return v != 0; }
 
+// Constructor-argument checks, run from the member initialisers so that no
+// table is sized from an unchecked argument (a 31-bit cache would be a
+// ~40 GB allocation, a shift by >= 64 undefined behaviour).
+int checked_num_vars(int num_vars) {
+  if (num_vars < 0 || num_vars > Mask::kMaxBits)
+    throw std::invalid_argument("Manager: num_vars out of [0,128]");
+  return num_vars;
+}
+
+int checked_cache_bits(int cache_bits) {
+  if (cache_bits < 1 || cache_bits > 30)
+    throw std::invalid_argument("Manager: cache_bits out of [1,30]");
+  return cache_bits;
+}
+
 }  // namespace
 
 const char* op_name(Op op) {
@@ -48,18 +63,14 @@ const char* op_name(Op op) {
 }
 
 Manager::Manager(int num_vars, int cache_bits)
-    : num_vars_(num_vars),
-      cache_bits_(cache_bits),
-      unique_(static_cast<std::size_t>(num_vars < 0 ? 0 : num_vars)),
-      var_to_level_(static_cast<std::size_t>(num_vars < 0 ? 0 : num_vars)),
-      level_to_var_(static_cast<std::size_t>(num_vars < 0 ? 0 : num_vars)),
-      cache_(std::size_t{1} << cache_bits),
-      cache_mask_((std::size_t{1} << cache_bits) - 1),
+    : num_vars_(checked_num_vars(num_vars)),
+      cache_bits_(checked_cache_bits(cache_bits)),
+      unique_(static_cast<std::size_t>(num_vars_)),
+      var_to_level_(static_cast<std::size_t>(num_vars_)),
+      level_to_var_(static_cast<std::size_t>(num_vars_)),
+      cache_(std::size_t{1} << cache_bits_),
+      cache_mask_((std::size_t{1} << cache_bits_) - 1),
       gc_threshold_(kInitialGcThreshold) {
-  if (num_vars < 0 || num_vars > Mask::kMaxBits)
-    throw std::invalid_argument("Manager: num_vars out of [0,128]");
-  if (cache_bits < 1 || cache_bits > 30)
-    throw std::invalid_argument("Manager: cache_bits out of [1,30]");
   for (auto& t : unique_) t.slots.assign(kInitialSlots, kNilNode);
   cache_used_ = std::make_unique_for_overwrite<std::uint32_t[]>(cache_.size());
   terminal_map_.keys.assign(kInitialSlots, 0);

@@ -343,6 +343,8 @@ verify::PartialReport deserialize_partial(const std::string& file_image,
   for (std::uint64_t i = 0; i < num_deps; ++i) {
     verify::PartialReport::Dep dep;
     dep.rank = prev + r.vu64();
+    if (dep.rank < prev || dep.rank >= part.end)
+      throw SerializationError("checkpoint: dependency rank outside the shard");
     prev = dep.rank;
     const std::uint64_t idx = r.vu64();
     if (idx >= dict.size())

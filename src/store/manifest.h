@@ -107,9 +107,9 @@ std::string manifest_key(const ScanManifest& manifest);
 std::string serialize_manifest(const ScanManifest& manifest);
 ScanManifest deserialize_manifest(const std::string& file_image);
 
-/// SANIPAR image of a complete per-shard checkpoint.  Dependency rows are
-/// not stored (RowContext is recomputed from the basis on merge); the
-/// V-mask width is the manifest's num_secrets.  `trace_id` is the scan's
+/// SANIPAR image of a complete per-shard checkpoint.  A dependency entry is
+/// its rank and V only (the union pass recomputes each RowContext from the
+/// basis); the V-mask width is the manifest's num_secrets.  `trace_id` is the scan's
 /// fleet id; deserialize refuses a checkpoint whose stored id differs from
 /// a non-empty `expected_trace_id` (cross-job contamination of a scan dir).
 std::string serialize_partial(const verify::PartialReport& part,

@@ -1,5 +1,6 @@
 #include "util/combinations.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace sani {
@@ -46,32 +47,60 @@ std::uint64_t binomial(int n, int k) {
   return r;
 }
 
+BinomialTable::BinomialTable(int n, int k)
+    : n_(n), k_(k),
+      cells_(static_cast<std::size_t>(n + 1) * static_cast<std::size_t>(k + 1),
+             0) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::size_t stride = static_cast<std::size_t>(k + 1);
+  for (int m = 0; m <= n; ++m) {
+    std::uint64_t* row = &cells_[static_cast<std::size_t>(m) * stride];
+    row[0] = 1;
+    if (m == 0) continue;
+    const std::uint64_t* up = row - stride;
+    for (int j = 1; j <= k && j <= m; ++j)
+      row[j] = up[j] > kMax - up[j - 1] ? kMax : up[j] + up[j - 1];
+  }
+}
+
+const BinomialTable& binomial_table(int n, int k) {
+  thread_local BinomialTable table;
+  if (!table.covers(n, k))
+    table = BinomialTable(std::max(n, table.n()), std::max(k, table.k()));
+  return table;
+}
+
 std::uint64_t combination_rank(int n, const std::vector<int>& combo) {
   const int k = static_cast<int>(combo.size());
-  std::uint64_t rank = 0;
-  int prev = -1;
-  for (int i = 0; i < k; ++i) {
-    // Combinations starting with a smaller value at position i (and any
-    // admissible tail) all precede this one.
-    for (int v = prev + 1; v < combo[static_cast<std::size_t>(i)]; ++v)
-      rank += binomial(n - 1 - v, k - 1 - i);
-    prev = combo[static_cast<std::size_t>(i)];
-  }
-  return rank;
+  const BinomialTable& c = binomial_table(n, k);
+  std::uint64_t rest = 0;
+  for (int i = 0; i < k; ++i)
+    rest += c(n - 1 - combo[static_cast<std::size_t>(i)], k - i);
+  return c(n, k) - 1 - rest;
 }
 
 std::vector<int> unrank_combination(int n, int k, std::uint64_t rank) {
+  const BinomialTable& c = binomial_table(n, k);
   std::vector<int> combo;
   combo.reserve(static_cast<std::size_t>(k));
-  int v = 0;
+  // dual = sum_i C(m_i, k - i) with n > m_0 > m_1 > ... >= 0, where
+  // combo[i] = n - 1 - m_i; each m_i is the largest m below the previous
+  // one with C(m, k - i) <= the remaining dual.
+  std::uint64_t dual = c(n, k) - 1 - rank;
+  int hi = n - 1;  // m_i <= hi
   for (int i = 0; i < k; ++i) {
-    for (;; ++v) {
-      const std::uint64_t below = binomial(n - 1 - v, k - 1 - i);
-      if (rank < below) break;
-      rank -= below;
+    const int j = k - i;
+    int lo = j - 1;  // C(j - 1, j) = 0 <= dual always holds
+    while (lo < hi) {
+      const int mid = lo + (hi - lo + 1) / 2;
+      if (c(mid, j) <= dual)
+        lo = mid;
+      else
+        hi = mid - 1;
     }
-    combo.push_back(v);
-    ++v;
+    dual -= c(lo, j);
+    combo.push_back(n - 1 - lo);
+    hi = lo - 1;
   }
   return combo;
 }

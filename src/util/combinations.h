@@ -54,12 +54,43 @@ std::uint64_t binomial(int n, int k);
 /// Number of subsets of {0..n-1} of size between 1 and d (saturating).
 std::uint64_t count_combinations_up_to(int n, int d);
 
-/// Lexicographic rank (combinatorial number system) of a size-k combination
-/// among all size-k subsets of {0..n-1}.  Inverse of unrank_combination.
+/// Pascal's triangle C(m, j) for 0 <= m <= n and 0 <= j <= k, saturating at
+/// UINT64_MAX; entries outside the triangle (j > m) are 0.
+class BinomialTable {
+ public:
+  BinomialTable() = default;
+  BinomialTable(int n, int k);
+
+  bool covers(int n, int k) const { return n <= n_ && k <= k_; }
+  int n() const { return n_; }
+  int k() const { return k_; }
+
+  /// C(m, j).  Precondition: 0 <= m <= n(), 0 <= j <= k().
+  std::uint64_t operator()(int m, int j) const {
+    return cells_[static_cast<std::size_t>(m) *
+                      static_cast<std::size_t>(k_ + 1) +
+                  static_cast<std::size_t>(j)];
+  }
+
+ private:
+  int n_ = -1;
+  int k_ = -1;
+  std::vector<std::uint64_t> cells_;
+};
+
+/// The calling thread's cached table, grown on demand to cover (n, k).
+const BinomialTable& binomial_table(int n, int k);
+
+/// Lexicographic rank of a size-k combination among all size-k subsets of
+/// {0..n-1}, in O(k) table reads:
+///   rank = C(n, k) - 1 - sum_i C(n - 1 - combo[i], k - i).
+/// Inverse of unrank_combination.  Precondition: C(n, k) not saturated.
 std::uint64_t combination_rank(int n, const std::vector<int>& combo);
 
 /// The combination of lexicographic rank `rank` among size-k subsets of
-/// {0..n-1}.  Precondition: rank < C(n, k) (and C(n, k) not saturated).
+/// {0..n-1}: the combinadic digits of C(n, k) - 1 - rank, each found by a
+/// binary search over one table column (O(k log n)).
+/// Precondition: rank < C(n, k) (and C(n, k) not saturated).
 std::vector<int> unrank_combination(int n, int k, std::uint64_t rank);
 
 }  // namespace sani

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dd/bdd.h"
@@ -75,7 +76,7 @@ class Backend {
 
   /// Unions the rho=0 share supports of the current rows into V (per
   /// secret), for the set-level check.
-  virtual void accumulate_deps(std::vector<Mask>& V) = 0;
+  virtual void accumulate_deps(std::span<Mask> V) = 0;
 };
 
 }  // namespace sani::verify

@@ -81,7 +81,7 @@ std::optional<Mask> FujitaBackend::check_rows(const RowCheckQuery& q) {
   return std::nullopt;
 }
 
-void FujitaBackend::accumulate_deps(std::vector<Mask>& V) {
+void FujitaBackend::accumulate_deps(std::span<Mask> V) {
   const circuit::VarMap& vars = basis_->vars;
   for (const Row& r : *rows_.back()) {
     dd::Bdd nz = r.spectrum.nonzero() & rho0_;

@@ -64,7 +64,7 @@ std::optional<Mask> LilBackend::check_rows(const RowCheckQuery& q) {
   return std::nullopt;
 }
 
-void LilBackend::accumulate_deps(std::vector<Mask>& V) {
+void LilBackend::accumulate_deps(std::span<Mask> V) {
   for (const LilSpectrum& r : *rows_.back())
     for (const auto& [alpha, v] : r.entries()) {
       if (alpha.intersects(basis_->vars.random_vars)) continue;

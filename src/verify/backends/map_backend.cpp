@@ -116,7 +116,7 @@ std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
   return std::nullopt;
 }
 
-void MapBackend::accumulate_deps(std::vector<Mask>& V) {
+void MapBackend::accumulate_deps(std::span<Mask> V) {
   const RowSet& top = *stack_.back().rows;
   for (std::size_t r = 0; r < top.row_count(); ++r) {
     const Mask* masks = top.row_masks(r);

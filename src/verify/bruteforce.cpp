@@ -198,7 +198,7 @@ VerifyResult verify_bruteforce(const circuit::Gadget& gadget,
         const BruteObservable& o = u.observables[i];
         if (o.kind == Observable::Kind::kOutput) {
           ++row.num_outputs;
-          row.output_indices.insert(o.output_share_index);
+          row.add_output_index(o.output_share_index);
         } else {
           ++row.num_internal;
         }
@@ -305,14 +305,13 @@ VerifyResult verify_bruteforce(const circuit::Gadget& gadget,
           break;
         }
         case Notion::kPINI: {
-          std::set<int> touched;
+          std::uint64_t touched = 0;
           for (std::size_t i = 0; i < u.secret_share_pos.size(); ++i)
             for (std::size_t j = 0; j < u.secret_share_pos[i].size(); ++j)
               if (V.test(u.secret_share_pos[i][j]))
-                touched.insert(static_cast<int>(j));
-          int extra = 0;
-          for (int j : touched)
-            if (!row.output_indices.count(j)) ++extra;
+                touched |= std::uint64_t{1} << j;
+          const int extra =
+              __builtin_popcountll(touched & ~row.output_indices);
           if (extra > row.num_internal) {
             fail("observations touch " + std::to_string(extra) +
                  " share indices beyond the probed outputs");

@@ -31,6 +31,8 @@ Checker::Checker(const circuit::VarMap& vars, Notion notion,
     : vars_(vars), notion_(notion), joint_(joint_share_count) {
   const std::size_t num_indices =
       vars_.secret_share_var.empty() ? 0 : vars_.secret_share_var.front().size();
+  if (num_indices > RowContext::kMaxShareIndices)
+    throw std::invalid_argument("Checker: more than 64 shares per secret");
   index_vars_.resize(num_indices);
   for (const auto& group : vars_.secret_share_var)
     for (std::size_t j = 0; j < group.size(); ++j)
@@ -46,12 +48,11 @@ int Checker::threshold(const RowContext& row) const {
 }
 
 int Checker::disallowed_indices(const Mask& bits,
-                                const std::set<int>& allowed) const {
-  int count = 0;
+                                std::uint64_t allowed) const {
+  std::uint64_t touched = 0;
   for (std::size_t j = 0; j < index_vars_.size(); ++j)
-    if (!allowed.count(static_cast<int>(j)) && bits.intersects(index_vars_[j]))
-      ++count;
-  return count;
+    if (bits.intersects(index_vars_[j])) touched |= std::uint64_t{1} << j;
+  return __builtin_popcountll(touched & ~allowed);
 }
 
 bool Checker::coefficient_violates(const Mask& alpha,
@@ -140,7 +141,7 @@ bool ForbiddenRegion::forbidden(std::uint64_t idx) const {
     case Notion::kPINI: {
       int extra = 0;
       for (std::size_t j = 0; j < index_compact_.size(); ++j)
-        if (!row_.output_indices.count(static_cast<int>(j)) &&
+        if (!row_.has_output_index(static_cast<int>(j)) &&
             (idx & index_compact_[j]) != 0)
           ++extra;
       return extra > row_.num_internal;
@@ -174,14 +175,14 @@ bool ForbiddenRegion::empty() const {
     case Notion::kPINI: {
       int candidates = 0;
       for (std::size_t j = 0; j < index_compact_.size(); ++j)
-        if (!row_.output_indices.count(static_cast<int>(j))) ++candidates;
+        if (!row_.has_output_index(static_cast<int>(j))) ++candidates;
       return candidates <= row_.num_internal;
     }
   }
   return true;
 }
 
-bool Checker::union_violates(const std::vector<Mask>& V, const RowContext& row,
+bool Checker::union_violates(std::span<const Mask> V, const RowContext& row,
                              std::string* reason) const {
   auto fail = [&](const std::string& msg) {
     if (reason) *reason = msg;

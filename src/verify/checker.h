@@ -6,7 +6,9 @@
 // per-coefficient conditions as predicate BDDs (predicate.h); tests assert
 // the two formulations agree coefficient-by-coefficient.
 
-#include <set>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,7 +23,19 @@ struct RowContext {
   int num_observables = 0;  // |Q|
   int num_outputs = 0;      // output shares in Q
   int num_internal = 0;     // internal probes in Q
-  std::set<int> output_indices;  // share indices of probed outputs (PINI)
+  /// Bit j set: an output share of index j is probed (PINI).
+  std::uint64_t output_indices = 0;
+
+  static constexpr int kMaxShareIndices = 64;
+
+  void add_output_index(int j) {
+    if (j < 0 || j >= kMaxShareIndices)
+      throw std::invalid_argument("RowContext: share index out of [0,64)");
+    output_indices |= std::uint64_t{1} << j;
+  }
+  bool has_output_index(int j) const {
+    return j >= 0 && j < kMaxShareIndices && ((output_indices >> j) & 1);
+  }
 };
 
 class Checker {
@@ -47,16 +61,16 @@ class Checker {
   /// Set-level check on the accumulated dependency sets V[i] (union of
   /// share supports per secret over every sub-combination of Q).  Fills
   /// `reason` on violation.  Probing security has no set-level component.
-  bool union_violates(const std::vector<Mask>& V, const RowContext& row,
+  bool union_violates(std::span<const Mask> V, const RowContext& row,
                       std::string* reason) const;
 
   const Mask& random_vars() const { return vars_.random_vars; }
   const std::vector<Mask>& secret_vars() const { return vars_.secret_vars; }
 
  private:
-  /// Count of share indices touched by `bits` outside the allowed set.
-  int disallowed_indices(const Mask& bits,
-                         const std::set<int>& allowed) const;
+  /// Count of share indices touched by `bits` outside the `allowed` set
+  /// (bit j: share index j).
+  int disallowed_indices(const Mask& bits, std::uint64_t allowed) const;
 
   const circuit::VarMap& vars_;
   Notion notion_;

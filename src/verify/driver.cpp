@@ -1,5 +1,6 @@
 #include "verify/driver.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/combinations.h"
@@ -130,19 +131,16 @@ VerifyResult Driver::run() {
   return result;
 }
 
-RowContext Driver::context_for(const std::vector<int>& combo) const {
-  RowContext row;
-  row.num_observables = static_cast<int>(combo.size());
-  for (int i : combo) {
-    const ObservableInfo& o = basis_->obs[static_cast<std::size_t>(i)];
-    if (o.kind == Observable::Kind::kOutput) {
-      ++row.num_outputs;
-      row.output_indices.insert(o.output_share_index);
-    } else {
-      ++row.num_internal;
-    }
+std::span<Mask> Driver::dep_slot(const std::vector<int>& combo) {
+  const int S = static_cast<int>(basis_->vars.secret_vars.size());
+  const std::uint64_t rank =
+      combination_rank(static_cast<int>(basis_->size()), combo);
+  if (shard_part_) {
+    shard_part_->deps.push_back(
+        PartialReport::Dep{rank, std::vector<Mask>(static_cast<std::size_t>(S))});
+    return shard_part_->deps.back().V;
   }
-  return row;
+  return qinfo_.emplace(static_cast<int>(combo.size()), rank, S);
 }
 
 std::optional<Driver::CheckFailure> Driver::check_current() {
@@ -194,10 +192,7 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
         if (c.V) {
           // Splice the replayed dependency masks in, so the union pass
           // consumes exactly the store a cold run would have built.
-          QInfo info;
-          info.row = context_for(combo);
-          info.V = *c.V;
-          qinfo_.insert(combo, std::move(info));
+          std::ranges::copy(*c.V, dep_slot(combo).begin());
         }
         return std::nullopt;
       }
@@ -213,7 +208,7 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
 }
 
 std::optional<Driver::CheckFailure> Driver::check_current_impl() {
-  const RowContext row = context_for_path();
+  const RowContext row = row_context(*basis_, path_);
   RowCheckQuery q = rowcheck_.query(row, &stats_.coefficients);
 
   if (auto alpha = backend_->check_rows(q)) {
@@ -221,13 +216,8 @@ std::optional<Driver::CheckFailure> Driver::check_current_impl() {
                         "nonzero Walsh coefficient in the forbidden region "
                         "(per-row T-predicate check)"};
   }
-  if (options_.union_check && options_.notion != Notion::kProbing) {
-    QInfo info;
-    info.row = row;
-    info.V.assign(basis_->vars.secret_vars.size(), Mask{});
-    backend_->accumulate_deps(info.V);
-    qinfo_.insert(path_, std::move(info));
-  }
+  if (options_.union_check && options_.notion != Notion::kProbing)
+    backend_->accumulate_deps(dep_slot(path_));
   return std::nullopt;
 }
 
@@ -368,9 +358,11 @@ void Driver::run_shard_partial(
   const CacheStats region0 = stats_.region_cache;
   const double conv0 = stats_.timers.get("convolution");
   const double verif0 = stats_.timers.get("verification");
-  const std::size_t qinfo0 = qinfo_.size();
-
+  // The shard's dependency entries go straight into the partial: in shard
+  // mode the PartialReport, not the driver, owns the merge-bound state.
+  shard_part_ = &part;
   run_shard(shard, still_relevant, out);
+  shard_part_ = nullptr;
 
   part.k = shard.k;
   part.begin = shard.begin;
@@ -394,14 +386,6 @@ void Driver::run_shard_partial(
     part.fail_alpha = out.failure->ce.alpha;
     part.fail_reason = out.failure->ce.reason;
   }
-  part.deps.reserve(part.deps.size() + (qinfo_.size() - qinfo0));
-  qinfo_.drain_tail(qinfo0, [&part](std::uint64_t key, QInfo&& info) {
-    PartialReport::Dep dep;
-    dep.rank = key >> 6;
-    dep.row = std::move(info.row);
-    dep.V = std::move(info.V);
-    part.deps.push_back(std::move(dep));
-  });
 }
 
 void Driver::union_pass_over(const QInfoStore& qinfo, VerifyResult& result) {

@@ -22,7 +22,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/unfold.h"
@@ -106,13 +108,14 @@ class Driver {
                      still_relevant,
                  ShardOutcome& out);
 
-  /// run_shard() plus per-shard delta capture: the counters, phase seconds
-  /// and union-check entries this shard contributed are snapshotted into
-  /// `part` (the entries are *drained* out of the driver's own store — in
-  /// shard-partial mode the PartialReport, not the driver, owns the
-  /// merge-bound state).  With a null `still_relevant` and an unexpired
-  /// token the resulting partial is complete: a pure function of (basis,
-  /// options, shard), whatever ran before it on this driver.
+  /// run_shard() plus per-shard delta capture: the counters and phase
+  /// seconds this shard contributed are snapshotted into `part`, and its
+  /// union-check entries are written into part.deps instead of the
+  /// driver's own store (in shard-partial mode the PartialReport, not the
+  /// driver, owns the merge-bound state).  With a null `still_relevant`
+  /// and an unexpired token the resulting partial is complete: a pure
+  /// function of (basis, options, shard), whatever ran before it on this
+  /// driver.
   void run_shard_partial(const sched::Shard& shard,
                          const std::function<bool(const std::vector<int>&)>&
                              still_relevant,
@@ -121,8 +124,11 @@ class Driver {
   /// Set-level union pass over an arbitrary (possibly merged) store.
   void union_pass_over(const QInfoStore& qinfo, VerifyResult& result);
 
-  /// Union-check data accumulated so far (shard mode).
-  const QInfoStore& qinfo() const { return qinfo_; }
+  /// Moves the union-check store of a serial run() out, leaving this
+  /// driver's store empty.
+  QInfoStore take_qinfo() {
+    return std::exchange(qinfo_, QInfoStore(static_cast<int>(basis_->size())));
+  }
 
   /// Counters accumulated by this driver (shard mode reads them per worker).
   const VerifyStats& stats() const { return stats_; }
@@ -155,8 +161,9 @@ class Driver {
     std::string reason;
   };
 
-  RowContext context_for(const std::vector<int>& combo) const;
-  RowContext context_for_path() const { return context_for(path_); }
+  /// The zeroed dependency-mask slot of a passing combination: in the
+  /// driver's store, or appended to the running shard's partial.
+  std::span<Mask> dep_slot(const std::vector<int>& combo);
 
   /// Checks the current path_ as one combination; failure data on failure.
   /// Ticks the progress meter, records the outcome into the collector and
@@ -205,6 +212,7 @@ class Driver {
   // out of the enumeration loop.
   std::vector<obs::Histogram*> rank_hist_;
   QInfoStore qinfo_;
+  PartialReport* shard_part_ = nullptr;  // shard mode: where deps go
   const IncrementalPlan* plan_ = nullptr;
   SummaryCollector* collector_ = nullptr;
   std::vector<int> plan_scratch_;

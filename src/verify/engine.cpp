@@ -50,7 +50,7 @@ VerifyResult verify_basis(std::shared_ptr<const Basis> basis,
         static_cast<int>(basis->size()), options.order));
   VerifyResult result = driver.run();
   if (options.progress) options.progress->stop();
-  if (ctx && ctx->deps_out) ctx->deps_out->merge_from(driver.qinfo());
+  if (ctx && ctx->deps_out) ctx->deps_out->merge_from(driver.take_qinfo());
   return result;
 }
 

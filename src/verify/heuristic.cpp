@@ -1,6 +1,5 @@
 #include "verify/heuristic.h"
 
-#include <set>
 #include <vector>
 
 #include "dd/anf.h"
@@ -162,7 +161,7 @@ HeuristicResult verify_heuristic_prepared(const circuit::Unfolded& unfolded,
         const Observable& o = obs.items[i];
         if (o.kind == Observable::Kind::kOutput) {
           ++row.num_outputs;
-          row.output_indices.insert(o.output_share_index);
+          row.add_output_index(o.output_share_index);
         } else {
           ++row.num_internal;
         }
@@ -201,14 +200,13 @@ HeuristicResult verify_heuristic_prepared(const circuit::Unfolded& unfolded,
           break;
         }
         case Notion::kPINI: {
-          std::set<int> touched;
+          std::uint64_t touched = 0;
           for (std::size_t i = 0; i < vars.secret_share_var.size(); ++i)
             for (std::size_t j = 0; j < vars.secret_share_var[i].size(); ++j)
               if (support.test(vars.secret_share_var[i][j]))
-                touched.insert(static_cast<int>(j));
-          int extra = 0;
-          for (int j : touched)
-            if (!row.output_indices.count(j)) ++extra;
+                touched |= std::uint64_t{1} << j;
+          const int extra =
+              __builtin_popcountll(touched & ~row.output_indices);
           if (extra > row.num_internal) proved = false;
           break;
         }

@@ -100,18 +100,13 @@ ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
             [](const ConeSummary::Failure& a, const ConeSummary::Failure& b) {
               return a.k != b.k ? a.k < b.k : a.rank < b.rank;
             });
-  const int n = static_cast<int>(s.digests.size());
-  for (const std::vector<int>& combo : deps.sorted_combos()) {
-    const QInfo* info = deps.find(combo);
-    if (!info) continue;
+  // The dense store walks in (k, rank) order — the summary's order.
+  s.deps.reserve(deps.size());
+  deps.for_each([&s](int k, std::uint64_t rank, std::span<const Mask> V) {
     s.deps.push_back(ConeSummary::DepEntry{
-        static_cast<std::int32_t>(combo.size()),
-        combination_rank(n, combo), info->V});
-  }
-  std::sort(s.deps.begin(), s.deps.end(),
-            [](const ConeSummary::DepEntry& a, const ConeSummary::DepEntry& b) {
-              return a.k != b.k ? a.k < b.k : a.rank < b.rank;
-            });
+        static_cast<std::int32_t>(k), rank,
+        std::vector<Mask>(V.begin(), V.end())});
+  });
   return s;
 }
 

@@ -77,7 +77,8 @@ struct ConeSummary {
   };
   std::vector<Failure> failures;  // sorted by (k, rank)
 
-  /// Per-secret dependency masks of one passing combination (QInfo::V).
+  /// Per-secret dependency masks of one passing combination (the
+  /// QInfoStore entry of its (k, rank)).
   struct DepEntry {
     std::int32_t k = 0;
     std::uint64_t rank = 0;
@@ -159,7 +160,7 @@ class IncrementalPlan {
   std::uint64_t cones_reused_ = 0;
   int old_n_ = 0;
   bool need_deps_ = false;
-  // (rank << 6 | k) lookups, the QInfoStore key convention.
+  // (rank << 6 | k) lookups.
   std::unordered_map<std::uint64_t, const ConeSummary::Failure*> failures_;
   std::unordered_map<std::uint64_t, const ConeSummary::DepEntry*> deps_;
 };

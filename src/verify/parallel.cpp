@@ -194,7 +194,6 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
   result.stats.qinfo_peak_bytes = assembler.qinfo().peak_bytes();
   if (ictx && ictx->collector)
     for (const auto& c : collectors) ictx->collector->merge_from(*c);
-  if (ictx && ictx->deps_out) ictx->deps_out->merge_from(assembler.qinfo());
 
   if (assembler.has_failure()) {
     result.secure = false;
@@ -209,6 +208,7 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
     obs::Span span("union");
     ctx[0].driver->union_pass_over(assembler.qinfo(), result);
   }
+  if (ictx && ictx->deps_out) ictx->deps_out->merge_from(assembler.take_qinfo());
   result.stats.parallel.cancel_latency = cancel.max_ack_latency();
   return result;
 }

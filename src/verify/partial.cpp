@@ -1,5 +1,10 @@
 #include "verify/partial.h"
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
+#include <span>
+
 #include "obs/clock.h"
 #include "obs/trace.h"
 #include "sched/cancel.h"
@@ -15,55 +20,14 @@ bool combo_before(const std::vector<int>& a, const std::vector<int>& b,
   return a < b;
 }
 
-void union_pass(const Basis& basis, const Checker& checker,
-                const QInfoStore& qinfo, sched::CancelToken* cancel,
-                VerifyResult& result) {
-  for (const std::vector<int>& q_path : qinfo.sorted_combos()) {
-    if (cancel && cancel->expired()) {
-      result.timed_out = true;
-      cancel->acknowledge();
-      return;
-    }
-    const QInfo& info = *qinfo.find(q_path);
-    // V(Q) = union of deps over all sub-combinations of Q.
-    std::vector<Mask> V(info.V.size());
-    const std::size_t k = q_path.size();
-    for (std::size_t sel = 1; sel < (std::size_t{1} << k); ++sel) {
-      std::vector<int> sub;
-      for (std::size_t j = 0; j < k; ++j)
-        if (sel & (std::size_t{1} << j)) sub.push_back(q_path[j]);
-      const QInfo* it = qinfo.find(sub);
-      if (!it) continue;
-      for (std::size_t s = 0; s < V.size(); ++s) V[s] |= it->V[s];
-    }
-    std::string reason;
-    if (checker.union_violates(V, info.row, &reason)) {
-      result.secure = false;
-      CounterExample ce;
-      for (int i : q_path)
-        ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
-      for (const Mask& v : V) ce.alpha |= v;
-      ce.reason = "set-level dependency check failed: " + reason;
-      result.counterexample = std::move(ce);
-      return;
-    }
-  }
-}
-
-namespace {
-
-/// Driver::context_for, recomputed from the basis: the RowContext of a
-/// combination is a pure function of the observables' kinds, so a partial
-/// deserialized from disk (which ships only rank + V per dependency entry)
-/// reconstructs exactly the record a live worker would have handed over.
-RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo) {
+RowContext row_context(const Basis& basis, const std::vector<int>& combo) {
   RowContext row;
   row.num_observables = static_cast<int>(combo.size());
   for (int i : combo) {
     const ObservableInfo& o = basis.obs[static_cast<std::size_t>(i)];
     if (o.kind == Observable::Kind::kOutput) {
       ++row.num_outputs;
-      row.output_indices.insert(o.output_share_index);
+      row.add_output_index(o.output_share_index);
     } else {
       ++row.num_internal;
     }
@@ -71,7 +35,96 @@ RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo) 
   return row;
 }
 
-}  // namespace
+void union_pass(const Basis& basis, const Checker& checker,
+                const QInfoStore& qinfo, sched::CancelToken* cancel,
+                VerifyResult& result) {
+  if (qinfo.size() == 0) return;
+  const int n = qinfo.num_observables();
+  const int top = qinfo.max_k();
+  const std::size_t S = static_cast<std::size_t>(qinfo.num_secrets());
+  const BinomialTable c(n, top);
+
+  struct Violation {
+    std::vector<int> combo;
+    Mask alpha;
+    std::string reason;
+  };
+  std::optional<Violation> first;  // lexicographically first so far
+
+  // U over every rank of size k - 1 (read) and of size k (written); the top
+  // size feeds no later size, so its U lives in `u_top` one Q at a time.
+  std::vector<Mask> below, level, u_top(S);
+  std::vector<int> combo;
+  std::vector<std::uint64_t> head(static_cast<std::size_t>(top));
+  std::vector<std::uint64_t> tail(static_cast<std::size_t>(top));
+  std::string reason;
+  std::uint64_t visited = 0;
+  for (int k = 1; k <= top; ++k) {
+    const bool keep = k < top;
+    const std::uint64_t ranks = c(n, k);
+    if (keep) level.assign(static_cast<std::size_t>(ranks) * S, Mask{});
+    // Rank of Q minus q_j among size-(k-1) combinations, from the rank
+    // formula of util/combinations.h: element i < j keeps position i and
+    // contributes head[i] = C(n-1-q_i, k-1-i); element i > j moves to
+    // position i-1 and contributes tail[i] = C(n-1-q_i, k-i).
+    const std::uint64_t sub_base = c(n, k - 1) - 1;
+    bool seek = true;  // no violation of size k found yet
+    combo.resize(static_cast<std::size_t>(k));
+    std::iota(combo.begin(), combo.end(), 0);
+    for (std::uint64_t r = 0; r < ranks; ++r) {
+      if (cancel && (++visited & 1023) == 0 && cancel->expired()) {
+        result.timed_out = true;
+        cancel->acknowledge();
+        return;
+      }
+      Mask* u = keep ? level.data() + r * S : u_top.data();
+      if (!keep) std::fill(u_top.begin(), u_top.end(), Mask{});
+      const Mask* v = qinfo.find(k, r);
+      if (v) std::copy(v, v + S, u);
+      if (k > 1) {
+        std::uint64_t tails = 0;
+        for (int i = 0; i < k; ++i) {
+          const int m = n - 1 - combo[static_cast<std::size_t>(i)];
+          head[static_cast<std::size_t>(i)] = c(m, k - 1 - i);
+          tail[static_cast<std::size_t>(i)] = c(m, k - i);
+          tails += tail[static_cast<std::size_t>(i)];
+        }
+        std::uint64_t heads = 0;
+        for (int j = 0; j < k; ++j) {
+          tails -= tail[static_cast<std::size_t>(j)];
+          const Mask* w = below.data() + (sub_base - heads - tails) * S;
+          for (std::size_t s = 0; s < S; ++s) u[s] |= w[s];
+          heads += head[static_cast<std::size_t>(j)];
+        }
+      }
+      if (v && seek) {
+        if (first && !(combo < first->combo)) {
+          seek = false;  // every later Q of this size sorts after `first`
+        } else if (checker.union_violates(std::span<const Mask>(u, S),
+                                          row_context(basis, combo),
+                                          &reason)) {
+          Mask alpha;
+          for (std::size_t s = 0; s < S; ++s) alpha |= u[s];
+          first = Violation{combo, alpha, reason};
+          seek = false;
+        }
+      }
+      if (!keep && !seek) break;
+      next_combination(combo, n);
+    }
+    below.swap(level);
+  }
+
+  if (first) {
+    result.secure = false;
+    CounterExample ce;
+    for (int i : first->combo)
+      ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
+    ce.alpha = first->alpha;
+    ce.reason = "set-level dependency check failed: " + first->reason;
+    result.counterexample = std::move(ce);
+  }
+}
 
 ReportAssembler::ReportAssembler(std::shared_ptr<const Basis> basis,
                                  VerifyOptions options)
@@ -106,31 +159,9 @@ void ReportAssembler::add(PartialReport part) {
                           std::move(part.fail_reason)};
   }
 
-  if (options_.union_check && options_.notion != Notion::kProbing) {
-    // Deps arrive rank-ascending (shards check in rank order), so one
-    // unrank seeds the walk and successor steps recover every later combo —
-    // cheaper than a full unrank per entry when a deserialized shard
-    // carries one dep per passing combination.
-    std::vector<int> combo;
-    std::uint64_t at = 0;
-    for (PartialReport::Dep& dep : part.deps) {
-      if (combo.empty() || dep.rank < at) {
-        combo = unrank_combination(N, part.k, dep.rank);
-      } else {
-        while (at < dep.rank) {
-          next_combination(combo, N);
-          ++at;
-        }
-      }
-      at = dep.rank;
-      QInfo info;
-      info.row = dep.row.num_observables > 0
-                     ? std::move(dep.row)
-                     : context_for_combo(*basis_, combo);
-      info.V = std::move(dep.V);
-      qinfo_.insert(combo, std::move(info));
-    }
-  }
+  if (options_.union_check && options_.notion != Notion::kProbing)
+    for (const PartialReport::Dep& dep : part.deps)
+      qinfo_.insert(part.k, dep.rank, dep.V);
 }
 
 CounterExample ReportAssembler::failure_counterexample() const {
@@ -188,9 +219,9 @@ VerifyResult ReportAssembler::finalize() {
     result.secure = false;
     result.counterexample = failure_counterexample();
   } else if (options_.union_check && options_.notion != Notion::kProbing) {
-    // The set-level pass over the merged store — sorted_combos() restores
-    // the serial iteration order, so the union witness is completion-order
-    // independent too.  A bare Checker hosts the pass: union_violates is
+    // The set-level pass over the merged store — it reports the first
+    // violation in the serial iteration order, so the union witness is
+    // completion-order independent too.  A bare Checker hosts the pass: union_violates is
     // pure mask arithmetic, so no backend is prepared and the frozen forest
     // is never thawed — finalizing a drained scan costs checkpoint I/O plus
     // this loop, nothing engine-shaped.

@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/shard.h"
@@ -53,15 +54,23 @@ class Driver;
 bool combo_before(const std::vector<int>& a, const std::vector<int>& b,
                   bool largest_first);
 
+/// The composition of `combo` (observable indices into the basis): a pure
+/// function of the observables' kinds, so the union pass and the scan share
+/// one definition and no store keeps a copy per entry.
+RowContext row_context(const Basis& basis, const std::vector<int>& combo);
+
 /// The set-level union pass over a dependency store: for every recorded
-/// combination Q, folds V over all sub-combinations of Q and applies the
-/// notion's set-level condition.  sorted_combos() restores the serial
-/// iteration order, so the witness (the first violating Q) is independent
-/// of how the store was populated.  Pure mask arithmetic end to end — no
-/// backend, no DD manager — which is what lets ReportAssembler::finalize
-/// run it without thawing the frozen forest.  `cancel` (optional) turns a
-/// fired deadline into result.timed_out, exactly as the in-driver pass
-/// does.
+/// combination Q, the union U(Q) of V over all recorded sub-combinations
+/// of Q must satisfy the notion's set-level condition.  U is built by the
+/// subset-zeta recurrence U(Q) = V(Q) | U(Q minus q_1) | ... | U(Q minus
+/// q_k), size by size in lexicographic rank order (a missing V counts as
+/// empty), so each Q costs k lookups instead of 2^k - 1.  The reported
+/// witness is the first violating Q in lexicographic vector order — the
+/// serial walk's order — however the store was populated.  Pure mask
+/// arithmetic end to end — no backend, no DD manager — which is what lets
+/// ReportAssembler::finalize run it without thawing the frozen forest.
+/// `cancel` (optional) turns a fired deadline into result.timed_out,
+/// exactly as the in-driver pass does.
 void union_pass(const Basis& basis, const Checker& checker,
                 const QInfoStore& qinfo, sched::CancelToken* cancel,
                 VerifyResult& result);
@@ -95,12 +104,10 @@ struct PartialReport {
   double convolution_seconds = 0.0;
   double verification_seconds = 0.0;
 
-  /// Union-check dependency record of one passing size-k combination.
-  /// `row` is recomputable from the basis (see ReportAssembler::add), so
-  /// the serialized form (store/manifest.h) carries only rank + V.
+  /// Union-check dependency record of one passing size-k combination
+  /// (its RowContext is recomputed from the combination where needed).
   struct Dep {
     std::uint64_t rank = 0;
-    RowContext row;
     std::vector<Mask> V;
   };
   std::vector<Dep> deps;  // rank-ascending (shards check in rank order)
@@ -110,12 +117,12 @@ struct PartialReport {
 ///
 /// add() is commutative and associative in the merged *semantic* state:
 /// the best failure is the minimum of an associative min (combo_before is a
-/// strict total order on combinations), counters are sums, and the QInfo
-/// entries of distinct shards are disjoint (each combination belongs to
-/// exactly one shard), so insertion order cannot change the store's
-/// contents — only the arena layout, which sorted_combos() canonicalizes
-/// before the union pass reads it.  Hence any completion order, worker
-/// count or engine mixture finalizes to the same report.
+/// strict total order on combinations), counters are sums, and the
+/// dependency entries of distinct shards are disjoint (each combination
+/// belongs to exactly one shard) and land at their (k, rank) slot of the
+/// dense store, so insertion order cannot change what the union pass
+/// reads.  Hence any completion order, worker count or engine mixture
+/// finalizes to the same report.
 class ReportAssembler {
  public:
   /// `options` are the canonical semantic options of the scan (notion,
@@ -144,6 +151,10 @@ class ReportAssembler {
   CounterExample failure_counterexample() const;
 
   const QInfoStore& qinfo() const { return qinfo_; }
+  /// Moves the merged dependency store out, leaving the assembler's empty.
+  QInfoStore take_qinfo() {
+    return std::exchange(qinfo_, QInfoStore(static_cast<int>(basis_->size())));
+  }
 
   std::uint64_t combinations() const { return combinations_; }
   std::uint64_t coefficients() const { return coefficients_; }

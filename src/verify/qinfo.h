@@ -1,92 +1,127 @@
 #pragma once
-// Union-check dependency store (flat arena keyed by combination rank).
+// Union-check dependency store (dense, one block per combination size).
 //
 // The set-level union pass needs, for every passing combination Q, the
-// per-secret dependency masks V accumulated from Q's rows.  The naive
-// std::map<std::vector<int>, QInfo> pays a node allocation plus a key
-// vector per combination; this store keeps the QInfo records in one flat
-// arena and keys them by the combination's lexicographic rank in the
-// combinatorial number system (rank << 6 | k — k < 64 always holds, the
-// enumeration order is bounded far below that), so lookups are one hash
-// probe and the footprint is measurable: bytes()/peak_bytes() feed the
-// qinfo fields of VerifyStats.
+// per-secret dependency masks V(Q) accumulated from Q's rows.  Every
+// combination of a size is checked exactly once across all shards, so a
+// finished scan fills the whole rank space: the store keeps one flat Mask
+// block per size k, indexed by the combination's lexicographic rank
+// (C(n, k) x #secrets masks), plus a presence bitmap.  A lookup is a page
+// index and a bit test, an insert writes in place, and a walk in (k, rank)
+// order needs no sort.  The block is paged (kPageRanks ranks per page,
+// allocated on first touch) so a scan that stops early — a deadline, a
+// failure, a shard of a larger plan — only pays for the pages it reached.
+//
+// The RowContext of an entry is not stored: it is a pure function of the
+// combination (verify/partial.h's row_context).  bytes()/peak_bytes() feed
+// the qinfo fields of VerifyStats.
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "util/mask.h"
-#include "verify/checker.h"
 
 namespace sani::verify {
 
-/// Per-combination dependency data for the set-level union check.
-struct QInfo {
-  RowContext row;
-  std::vector<Mask> V;  // per-secret deps of rows covering exactly this Q
-};
-
-/// Each combination is checked exactly once across all shards, so
-/// per-worker stores have disjoint key sets and merge trivially.
 class QInfoStore {
  public:
+  /// Ranks per page (the last level's page is shorter when C(n, k) is).
+  static constexpr int kPageBits = 12;
+  static constexpr std::uint64_t kPageRanks = std::uint64_t{1} << kPageBits;
+
   QInfoStore() = default;
   explicit QInfoStore(int num_observables) : n_(num_observables) {}
 
-  /// Re-keys an empty store for a universe of `num_observables`.
-  void reset(int num_observables) {
-    n_ = num_observables;
-    arena_.clear();
-    keys_.clear();
-    index_.clear();
-    bytes_ = 0;
-    peak_bytes_ = 0;
+  QInfoStore(QInfoStore&&) noexcept = default;
+  QInfoStore& operator=(QInfoStore&&) noexcept = default;
+
+  int num_observables() const { return n_; }
+  /// Width of every entry's mask vector (fixed by the first insert; 0 while
+  /// the store is empty).
+  int num_secrets() const { return secrets_; }
+  /// Largest combination size with an allocated level (0 when empty).
+  int max_k() const { return static_cast<int>(levels_.size()); }
+
+  /// The zeroed, now-present slot of the size-k combination of
+  /// lexicographic rank `rank`, for in-place accumulation.  Every entry of
+  /// a store has `num_secrets` masks.
+  std::span<Mask> emplace(int k, std::uint64_t rank, int num_secrets);
+
+  void insert(int k, std::uint64_t rank, std::span<const Mask> V);
+  void insert(const std::vector<int>& combo, std::span<const Mask> V);
+
+  /// The masks of an entry (num_secrets() of them), or null if absent.
+  const Mask* find(int k, std::uint64_t rank) const {
+    if (k < 1 || k > max_k()) return nullptr;
+    const Level& level = levels_[static_cast<std::size_t>(k - 1)];
+    const std::uint64_t p = rank >> kPageBits;
+    if (rank >= level.ranks || p >= level.pages.size() || !level.pages[p])
+      return nullptr;
+    const Page& page = *level.pages[p];
+    const std::uint64_t off = rank & (kPageRanks - 1);
+    if (!((page.present[off >> 6] >> (off & 63)) & 1)) return nullptr;
+    return &page.masks[off * stride()];
   }
+  const Mask* find(const std::vector<int>& combo) const;
 
-  void insert(const std::vector<int>& combo, QInfo info);
+  std::size_t size() const { return entries_; }
 
-  /// The record of `combo`, or null if it was never inserted.
-  const QInfo* find(const std::vector<int>& combo) const;
-
-  std::size_t size() const { return arena_.size(); }
-
-  /// Approximate heap footprint of the arena + index.
+  /// Heap footprint of the pages, presence bitmaps and page directories.
   std::size_t bytes() const { return bytes_; }
   std::size_t peak_bytes() const { return peak_bytes_; }
 
-  /// Folds `other`'s records in (disjoint key sets across shards).
+  /// Folds `other`'s entries in (disjoint key sets across shards).
   void merge_from(const QInfoStore& other);
+  /// Same, stealing `other`'s pages when this store is empty.
+  void merge_from(QInfoStore&& other);
 
-  /// Removes every record appended at arena position >= `from`, handing
-  /// each (key, record) pair to `fn` in insertion order (key = rank << 6 |
-  /// k, see key_of).  The arena is append-only, so the records of one
-  /// shard are exactly a tail slice; shard-mode drivers drain it into the
-  /// shard's PartialReport without copying (verify/partial.h).
+  /// Calls fn(k, rank, masks) for every entry, in (k, rank) order.
   template <typename Fn>
-  void drain_tail(std::size_t from, Fn&& fn) {
-    for (std::size_t i = from; i < arena_.size(); ++i) {
-      unaccount(arena_[i]);
-      index_.erase(keys_[i]);
-      fn(keys_[i], std::move(arena_[i]));
+  void for_each(Fn&& fn) const {
+    for (int k = 1; k <= max_k(); ++k) {
+      const Level& level = levels_[static_cast<std::size_t>(k - 1)];
+      for (std::size_t p = 0; p < level.pages.size(); ++p) {
+        if (!level.pages[p]) continue;
+        const Page& page = *level.pages[p];
+        for (std::size_t w = 0; w < page.present.size(); ++w)
+          for (std::uint64_t bits = page.present[w]; bits; bits &= bits - 1) {
+            const std::uint64_t off =
+                w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(bits));
+            fn(k, (static_cast<std::uint64_t>(p) << kPageBits) + off,
+               std::span<const Mask>(&page.masks[off * stride()],
+                                     static_cast<std::size_t>(secrets_)));
+          }
+      }
     }
-    arena_.resize(from);
-    keys_.resize(from);
   }
 
-  /// Stored combinations decoded back to index vectors, in lexicographic
-  /// vector order — the iteration order of the old per-path std::map, which
-  /// the union pass's witness determinism depends on.
-  std::vector<std::vector<int>> sorted_combos() const;
-
  private:
-  std::uint64_t key_of(const std::vector<int>& combo) const;
-  void account(const QInfo& info);
-  void unaccount(const QInfo& info);
+  struct Page {
+    std::vector<std::uint64_t> present;  // bit per rank of the page
+    std::unique_ptr<Mask[]> masks;       // page ranks x stride(), zeroed
+  };
+  struct Level {
+    std::uint64_t ranks = 0;       // C(n, k); 0 until the level is used
+    std::uint64_t page_ranks = 0;  // min(kPageRanks, ranks)
+    std::vector<std::unique_ptr<Page>> pages;  // grown to the highest touched
+  };
+
+  // At least one mask per slot so a present entry never yields null.
+  std::size_t stride() const {
+    return secrets_ > 0 ? static_cast<std::size_t>(secrets_) : 1;
+  }
+  Page& page_for(int k, std::uint64_t rank);
+  void grow_bytes(std::size_t delta) {
+    bytes_ += delta;
+    if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
+  }
 
   int n_ = 0;
-  std::vector<QInfo> arena_;
-  std::vector<std::uint64_t> keys_;  // parallel to arena_
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;
+  int secrets_ = 0;
+  std::vector<Level> levels_;  // index k - 1
+  std::size_t entries_ = 0;
   std::size_t bytes_ = 0;
   std::size_t peak_bytes_ = 0;
 };

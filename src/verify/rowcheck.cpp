@@ -12,9 +12,7 @@ RowCheck::RowCheck(const circuit::VarMap& vars, Notion notion,
       stats_(stats) {}
 
 RowCheck::Key RowCheck::key_of(const RowContext& row) const {
-  return {checker_.threshold(row), row.num_internal,
-          std::vector<int>(row.output_indices.begin(),
-                           row.output_indices.end())};
+  return {checker_.threshold(row), row.num_internal, row.output_indices};
 }
 
 dd::Bdd RowCheck::build_predicate(const RowContext& row) {

@@ -44,7 +44,7 @@ class RowCheck {
   // (threshold, num_internal, output_indices) determines every notion's
   // region: NI/SNI read only the threshold, PINI only the probe/output
   // composition, probing none of them.
-  using Key = std::tuple<int, int, std::vector<int>>;
+  using Key = std::tuple<int, int, std::uint64_t>;
   Key key_of(const RowContext& row) const;
 
   dd::Bdd build_predicate(const RowContext& row);

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "circuit/unfold.h"
 #include "gadgets/registry.h"
 #include "spectral/spectrum.h"
+#include "util/combinations.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
@@ -292,49 +294,64 @@ TEST(Prepared, AddEnginesHonorJobsOverSharedBasis) {
 }
 
 // ---------------------------------------------------------------------------
-// QInfoStore: rank-keyed arena must behave like the old per-path map.
+// QInfoStore: the dense per-size store must find what was inserted and walk
+// it in (size, lexicographic) order.
 // ---------------------------------------------------------------------------
 
-TEST(QInfoStore, FindsInsertedCombosAndSortsLexicographically) {
+/// Every entry of `store` decoded back to its combination, in walk order.
+std::vector<std::vector<int>> walked_combos(const QInfoStore& store) {
+  std::vector<std::vector<int>> combos;
+  store.for_each([&](int k, std::uint64_t rank, std::span<const Mask>) {
+    combos.push_back(unrank_combination(store.num_observables(), k, rank));
+  });
+  return combos;
+}
+
+TEST(QInfoStore, FindsInsertedCombosAndWalksInRankOrder) {
   QInfoStore store(5);
   // Insertion order deliberately not lexicographic.
   for (const std::vector<int>& combo : std::vector<std::vector<int>>{
            {1, 3}, {0}, {2, 4}, {0, 1}, {4}, {1}}) {
-    QInfo info;
-    info.row.num_observables = static_cast<int>(combo.size());
-    info.V.assign(1, Mask{});
-    info.V[0].set(combo.front());
-    store.insert(combo, std::move(info));
+    std::vector<Mask> V(1);
+    V[0].set(combo.front());
+    store.insert(combo, V);
   }
   EXPECT_EQ(store.size(), 6u);
-  const QInfo* hit = store.find({1, 3});
+  EXPECT_EQ(store.num_secrets(), 1);
+  const Mask* hit = store.find({1, 3});
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->row.num_observables, 2);
-  EXPECT_TRUE(hit->V[0].test(1));
+  EXPECT_TRUE(hit[0].test(1));
+  EXPECT_EQ(store.find(2, combination_rank(5, {1, 3})), hit);
   EXPECT_EQ(store.find({3}), nullptr);
   EXPECT_EQ(store.find({0, 2}), nullptr);
+  EXPECT_EQ(store.find({0, 1, 2}), nullptr);
 
-  const std::vector<std::vector<int>> want = {{0},    {0, 1}, {1},
-                                              {1, 3}, {2, 4}, {4}};
-  EXPECT_EQ(store.sorted_combos(), want);
+  const std::vector<std::vector<int>> want = {{0},    {1},    {4},
+                                              {0, 1}, {1, 3}, {2, 4}};
+  EXPECT_EQ(walked_combos(store), want);
   EXPECT_GT(store.bytes(), 0u);
   EXPECT_GE(store.peak_bytes(), store.bytes());
 }
 
 TEST(QInfoStore, MergesDisjointStores) {
   QInfoStore a(6), b(6);
-  QInfo info;
-  info.V.assign(1, Mask{});
-  a.insert({0, 2}, info);
-  b.insert({1, 5}, info);
-  b.insert({3}, info);
+  const std::vector<Mask> V(1);
+  a.insert({0, 2}, V);
+  b.insert({1, 5}, V);
+  b.insert({3}, V);
   a.merge_from(b);
   EXPECT_EQ(a.size(), 3u);
   EXPECT_NE(a.find({0, 2}), nullptr);
   EXPECT_NE(a.find({1, 5}), nullptr);
   EXPECT_NE(a.find({3}), nullptr);
-  const std::vector<std::vector<int>> want = {{0, 2}, {1, 5}, {3}};
-  EXPECT_EQ(a.sorted_combos(), want);
+  const std::vector<std::vector<int>> want = {{3}, {0, 2}, {1, 5}};
+  EXPECT_EQ(walked_combos(a), want);
+
+  // Moving into an empty store takes the entries over whole.
+  QInfoStore c(6);
+  c.merge_from(std::move(a));
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(walked_combos(c), want);
 }
 
 TEST(QInfoStore, PeakBytesReportedInStats) {

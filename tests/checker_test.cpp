@@ -42,7 +42,7 @@ TEST_P(RegionEquivalence, RegionMatchesCoefficientPredicate) {
   row.num_observables = 3;
   row.num_internal = internal;
   row.num_outputs = 3 - internal;
-  for (int i = 0; i < row.num_outputs; ++i) row.output_indices.insert(i);
+  for (int i = 0; i < row.num_outputs; ++i) row.add_output_index(i);
 
   // The fixture's public never feeds logic, but the region should still
   // honour an explicit extra-variable request.

@@ -37,8 +37,8 @@ TEST_P(PredicateVsChecker, AgreeOnAllCoordinates) {
   row.num_observables = 2;
   row.num_internal = internal_probes;
   row.num_outputs = row.num_observables - internal_probes;
-  if (row.num_outputs >= 1) row.output_indices.insert(0);
-  if (row.num_outputs >= 2) row.output_indices.insert(1);
+  if (row.num_outputs >= 1) row.add_output_index(0);
+  if (row.num_outputs >= 2) row.add_output_index(1);
 
   dd::Bdd region;
   switch (notion) {

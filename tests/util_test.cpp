@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "util/cli.h"
 #include "util/combinations.h"
 #include "util/mask.h"
@@ -109,6 +113,43 @@ TEST(Combinations, Binomial) {
   EXPECT_EQ(binomial(4, 5), 0u);
   EXPECT_EQ(binomial(60, 30), 118264581564861424ull);
   EXPECT_EQ(count_combinations_up_to(4, 2), 4u + 6u);
+}
+
+// Rank/unrank against a reference that shares no code with the library:
+// every size-k subset of {0..n-1} from the n-bit masks, as ascending index
+// vectors, sorted lexicographically — the rank of a subset is its position.
+TEST(Combinations, RankAndUnrankMatchNaiveReferenceExhaustively) {
+  for (int n = 0; n <= 14; ++n) {
+    std::vector<std::vector<std::vector<int>>> by_size(
+        static_cast<std::size_t>(n + 1));
+    for (std::uint32_t bits = 0; bits < (1u << n); ++bits) {
+      std::vector<int> combo;
+      for (int i = 0; i < n; ++i)
+        if (bits & (1u << i)) combo.push_back(i);
+      by_size[combo.size()].push_back(std::move(combo));
+    }
+    for (int k = 0; k <= n; ++k) {
+      std::vector<std::vector<int>>& all =
+          by_size[static_cast<std::size_t>(k)];
+      std::sort(all.begin(), all.end());
+      ASSERT_EQ(binomial(n, k), all.size()) << n << " " << k;
+      ASSERT_EQ(binomial_table(n, k)(n, k), all.size()) << n << " " << k;
+      for (std::uint64_t rank = 0; rank < all.size(); ++rank) {
+        ASSERT_EQ(combination_rank(n, all[rank]), rank) << n << " " << k;
+        ASSERT_EQ(unrank_combination(n, k, rank), all[rank])
+            << n << " " << k << " " << rank;
+      }
+    }
+  }
+}
+
+TEST(Combinations, BinomialTableMatchesBinomial) {
+  const BinomialTable table(70, 8);
+  EXPECT_TRUE(table.covers(70, 8));
+  EXPECT_FALSE(table.covers(71, 8));
+  for (int m = 0; m <= 70; ++m)
+    for (int j = 0; j <= 8; ++j)
+      EXPECT_EQ(table(m, j), binomial(m, j)) << m << " " << j;
 }
 
 TEST(Timers, Accumulates) {
