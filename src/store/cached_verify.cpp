@@ -5,16 +5,13 @@
 #include <utility>
 
 #include "circuit/ilang.h"
-#include "circuit/unfold.h"
-#include "store/sha256.h"
 #include "store/serial.h"
+#include "util/sha256.h"
 #include "verify/incremental.h"
 #include "verify/qinfo.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
-#include "verify/observables.h"
-#include "verify/portfolio.h"
 
 namespace sani::store {
 
@@ -41,7 +38,7 @@ std::string artifact_key(const std::string& canonical_ilang,
   // stop being referenced (and age out of the LRU) instead of being
   // misread.
   material << "sani-artifact-key-v" << kFormatVersion << '\n'
-           << "netlist-sha256:" << sha256_hex(canonical_ilang) << '\n'
+           << "netlist-sha256:" << util::sha256_hex(canonical_ilang) << '\n'
            << "probes:include_inputs=" << options.probes.include_inputs
            << ",dedupe=" << options.probes.dedupe
            << ",glitch_robust=" << options.probes.glitch_robust << '\n'
@@ -51,7 +48,7 @@ std::string artifact_key(const std::string& canonical_ilang,
            << "needs:spectra=" << needs.spectra << ",lil=" << needs.lil
            << ",frozen_fns=" << needs.frozen_fns
            << ",frozen_spectra=" << needs.frozen_spectra << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string artifact_key(const circuit::Gadget& gadget,
@@ -72,7 +69,7 @@ std::string summary_family_key(const circuit::Gadget& gadget,
            << "union:" << options.union_check << '\n'
            << "var_order:" << static_cast<int>(options.var_order) << '\n'
            << "sift:" << options.sift_after_unfold << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string summary_object_key(const std::string& family_key,
@@ -81,7 +78,7 @@ std::string summary_object_key(const std::string& family_key,
   material << "sani-summary-key-v" << kSummaryFormatVersion << '\n'
            << "family:" << family_key << '\n'
            << "artifact:" << artifact_key << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 namespace {
@@ -104,7 +101,7 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   std::optional<verify::IncrementalPlan> plan;
   if (prior) plan = verify::IncrementalPlan::build(*basis, prior, options);
 
-  // A Basis without a cone index (deserialized from a pre-v3 artifact)
+  // A Basis without a cone index (its observable set carried no digests)
   // can neither seed nor produce a summary — plain scan, zero stats.
   const bool collect = basis->cones.available;
   const int n = static_cast<int>(basis->size());
@@ -167,18 +164,9 @@ verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
   if (basis) {
     if (outcome) outcome->hit = true;
   } else {
-    // Cold path: exactly verify::verify's pipeline, plus a best-effort save
-    // (including the portfolio's adaptive unfolding-manager size).
-    const int unfold_bits =
-        options.engine == verify::EngineKind::kAuto
-            ? verify::suggest_unfold_cache_bits(gadget, options.cache_bits)
-            : options.cache_bits;
-    circuit::Unfolded unfolded =
-        circuit::unfold(gadget, unfold_bits, options.var_order);
-    if (options.sift_after_unfold) unfolded.manager->reorder_sift();
-    verify::ObservableSet observables =
-        verify::build_observables(gadget, unfolded, options.probes);
-    basis = verify::build_basis(unfolded, observables, options.engine);
+    // Cold path: exactly verify::verify's front half, plus a best-effort
+    // save.
+    basis = verify::build_gadget_basis(gadget, options);
     const bool saved =
         store.save_basis(key, *basis, needs_for_engine(options.engine));
     if (outcome) outcome->saved = saved;

@@ -4,18 +4,20 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/serial.h"
-#include "store/sha256.h"
+#include "util/sha256.h"
 
 namespace sani::store {
 
@@ -118,7 +120,7 @@ std::string manifest_key(const ScanManifest& m) {
            << "var_order:" << static_cast<int>(o.var_order) << '\n'
            << "sift:" << o.sift_after_unfold << '\n'
            << "shard_size:" << o.shard_size << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string serialize_manifest(const ScanManifest& m) {
@@ -162,9 +164,8 @@ std::string serialize_manifest(const ScanManifest& m) {
 }
 
 ScanManifest deserialize_manifest(const std::string& file_image) {
-  const std::string payload = checked_payload_for(
-      file_image, kManifestMagic, kManifestFormatVersion,
-      kManifestFormatVersion, nullptr);
+  const std::string payload = checked_payload_for(file_image, kManifestMagic,
+                                                  kManifestFormatVersion);
   ByteReader r(payload);
   ScanManifest m;
   m.label = r.str();
@@ -239,7 +240,10 @@ std::string serialize_partial(const verify::PartialReport& part,
   w.f64(part.convolution_seconds);
   w.f64(part.verification_seconds);
   w.u32(num_secrets);
-  w.u64(part.deps.size());
+  const std::size_t num_deps = part.dep_ranks.size();
+  if (part.dep_masks.size() != num_deps * num_secrets)
+    throw SerializationError("checkpoint: dependency mask width mismatch");
+  w.u64(num_deps);
   // Dependency section (v2): dictionary + varint pairs.  Dependency-mask
   // vectors repeat massively across a shard (V is the union of the combined
   // observables' share supports, and gadgets have few distinct supports),
@@ -249,39 +253,43 @@ std::string serialize_partial(const verify::PartialReport& part,
   // The dictionary stays tiny (a handful of distinct supports), so a
   // linear scan — last-match first, consecutive deps overwhelmingly share
   // one V — beats hashing a serialized key per dep.
-  std::vector<const std::vector<Mask>*> distinct;
-  std::vector<std::uint64_t> dep_index(part.deps.size());
+  const std::span<const Mask> masks(part.dep_masks);
+  auto V = [&](std::size_t i) {
+    return masks.subspan(i * num_secrets, num_secrets);
+  };
+  std::vector<std::size_t> distinct;  // dep index of each distinct V
+  std::vector<std::uint64_t> dep_index(num_deps);
   std::uint64_t last = 0;
-  for (std::size_t i = 0; i < part.deps.size(); ++i) {
-    const verify::PartialReport::Dep& dep = part.deps[i];
-    if (dep.V.size() != num_secrets)
-      throw SerializationError("checkpoint: dependency mask width mismatch");
+  for (std::size_t i = 0; i < num_deps; ++i) {
+    auto same = [&](std::uint64_t j) {
+      return std::ranges::equal(V(distinct[j]), V(i));
+    };
     std::uint64_t idx = distinct.size();
-    if (last < distinct.size() && *distinct[last] == dep.V) {
+    if (last < distinct.size() && same(last)) {
       idx = last;
     } else {
       for (std::uint64_t j = 0; j < distinct.size(); ++j) {
-        if (*distinct[j] == dep.V) {
+        if (same(j)) {
           idx = j;
           break;
         }
       }
     }
-    if (idx == distinct.size()) distinct.push_back(&dep.V);
+    if (idx == distinct.size()) distinct.push_back(i);
     dep_index[i] = idx;
     last = idx;
   }
   w.u64(distinct.size());
-  for (const std::vector<Mask>* V : distinct)
-    for (const Mask& v : *V) write_mask(w, v);
+  for (const std::size_t d : distinct)
+    for (const Mask& v : V(d)) write_mask(w, v);
   std::uint64_t prev = part.begin;
-  for (std::size_t i = 0; i < part.deps.size(); ++i) {
-    const verify::PartialReport::Dep& dep = part.deps[i];
-    if (dep.rank < prev)
+  for (std::size_t i = 0; i < num_deps; ++i) {
+    const std::uint64_t rank = part.dep_ranks[i];
+    if (rank < prev)
       throw SerializationError("checkpoint: dependency ranks not ascending");
-    w.vu64(dep.rank - prev);
+    w.vu64(rank - prev);
     w.vu64(dep_index[i]);
-    prev = dep.rank;
+    prev = rank;
   }
   return frame(kPartialMagic, kPartialFormatVersion, w.bytes());
 }
@@ -289,9 +297,8 @@ std::string serialize_partial(const verify::PartialReport& part,
 verify::PartialReport deserialize_partial(const std::string& file_image,
                                           std::uint32_t num_secrets,
                                           const std::string& expected_trace_id) {
-  const std::string payload = checked_payload_for(
-      file_image, kPartialMagic, kPartialFormatVersion, kPartialFormatVersion,
-      nullptr);
+  const std::string payload = checked_payload_for(file_image, kPartialMagic,
+                                                  kPartialFormatVersion);
   ByteReader r(payload);
   const std::string stored_trace_id = r.str();
   if (!expected_trace_id.empty() && !stored_trace_id.empty() &&
@@ -329,28 +336,25 @@ verify::PartialReport deserialize_partial(const std::string& file_image,
   if (num_distinct > num_deps ||
       num_distinct * (num_secrets * 16ull) > r.remaining())
     throw SerializationError("checkpoint: implausible dictionary size");
-  std::vector<std::vector<Mask>> dict;
-  dict.reserve(num_distinct);
-  for (std::uint64_t i = 0; i < num_distinct; ++i) {
-    std::vector<Mask> V;
-    V.reserve(num_secrets);
-    for (std::uint32_t s = 0; s < num_secrets; ++s)
-      V.push_back(read_mask(r));
-    dict.push_back(std::move(V));
-  }
-  part.deps.reserve(num_deps);
+  std::vector<Mask> dict;
+  dict.reserve(num_distinct * num_secrets);
+  for (std::uint64_t i = 0; i < num_distinct * num_secrets; ++i)
+    dict.push_back(read_mask(r));
+  part.dep_ranks.reserve(num_deps);
+  part.dep_masks.reserve(num_deps * num_secrets);
   std::uint64_t prev = part.begin;
   for (std::uint64_t i = 0; i < num_deps; ++i) {
-    verify::PartialReport::Dep dep;
-    dep.rank = prev + r.vu64();
-    if (dep.rank < prev || dep.rank >= part.end)
+    const std::uint64_t rank = prev + r.vu64();
+    if (rank < prev || rank >= part.end)
       throw SerializationError("checkpoint: dependency rank outside the shard");
-    prev = dep.rank;
+    prev = rank;
     const std::uint64_t idx = r.vu64();
-    if (idx >= dict.size())
+    if (idx >= num_distinct)
       throw SerializationError("checkpoint: dictionary index out of range");
-    dep.V = dict[idx];
-    part.deps.push_back(std::move(dep));
+    part.dep_ranks.push_back(rank);
+    const auto first =
+        dict.begin() + static_cast<std::ptrdiff_t>(idx * num_secrets);
+    part.dep_masks.insert(part.dep_masks.end(), first, first + num_secrets);
   }
   if (!r.at_end())
     throw SerializationError("checkpoint: trailing bytes");

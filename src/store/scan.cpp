@@ -321,9 +321,8 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
         continue;
       }
       const sched::Shard& shard = m.shards[claim->index];
-      verify::Driver::ShardOutcome out;
       verify::PartialReport part;
-      driver.run_shard_partial(shard, still_relevant, out, part);
+      driver.run_shard_partial(shard, still_relevant, part);
       if (!part.complete) {
         // Interrupted mid-shard (cancel/deadline): the partial is not a
         // pure function of the shard — release so someone reruns it whole.

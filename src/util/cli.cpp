@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <stdexcept>
 
 namespace sani {
 
@@ -36,14 +38,40 @@ std::optional<std::string> CliArgs::value(const std::string& name) const {
   return std::nullopt;
 }
 
+namespace {
+
+/// Parses all of `text` as a T; throws std::invalid_argument naming the flag
+/// on trailing garbage, an empty string or an out-of-range value.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* what) {
+  T out{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc::result_out_of_range)
+    throw std::invalid_argument("--" + name + ": expected " + what +
+                                " in range, got '" + text + "'");
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument("--" + name + ": expected " + what +
+                                ", got '" + text + "'");
+  return out;
+}
+
+}  // namespace
+
 int CliArgs::value_int(const std::string& name, int def) const {
   auto v = value(name);
-  return v ? std::atoi(v->c_str()) : def;
+  return v ? parse_number<int>(name, *v, "an integer") : def;
 }
 
 double CliArgs::value_double(const std::string& name, double def) const {
   auto v = value(name);
-  return v ? std::atof(v->c_str()) : def;
+  if (!v) return def;
+  const double d = parse_number<double>(name, *v, "a number");
+  if (!std::isfinite(d))
+    throw std::invalid_argument("--" + name + ": expected a finite number, "
+                                "got '" + *v + "'");
+  return d;
 }
 
 std::string CliArgs::value_or(const std::string& name,

@@ -21,10 +21,14 @@ class CliArgs {
   /// The value of `--name value` / `--name=value`, if present.
   std::optional<std::string> value(const std::string& name) const;
 
-  /// Integer-valued option with a default.
+  /// Integer-valued option with a default.  The whole value must parse as
+  /// an int: "abc", "4x" or an out-of-range number throws
+  /// std::invalid_argument ("--jobs: expected an integer, got 'abc'").
   int value_int(const std::string& name, int def) const;
 
   /// Double-valued option with a default (fractional --time-limit etc.).
+  /// The whole value must parse as a finite number, or it throws
+  /// std::invalid_argument as value_int does.
   double value_double(const std::string& name, double def) const;
 
   /// String-valued option with a default.

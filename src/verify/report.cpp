@@ -100,7 +100,7 @@ std::string summarize(const std::string& gadget_name,
      << result.stats.num_observables << " observables, "
      << result.stats.combinations << " combinations, ";
   // Resolved worker count (after --jobs 0 expands to the hardware
-  // concurrency); serial runs leave parallel.jobs at 0.
+  // concurrency); --jobs 1 runs leave parallel.jobs at 0.
   if (result.stats.parallel.jobs > 0)
     os << result.stats.parallel.jobs << " jobs, ";
   os << seconds * 1e3 << " ms)";

@@ -165,10 +165,8 @@ TEST(Manifest, PartialRoundTripWithFailureAndDeps) {
   p.fail_reason = "leaks s0";
   p.combinations = 6;
   p.coefficients = 99;
-  verify::PartialReport::Dep dep;
-  dep.rank = 12;
-  dep.V = {Mask::bit(1), Mask()};
-  p.deps.push_back(dep);
+  p.dep_ranks = {12};
+  p.dep_masks = {Mask::bit(1), Mask()};
 
   const verify::PartialReport back =
       deserialize_partial(serialize_partial(p, 2), 2);
@@ -183,11 +181,11 @@ TEST(Manifest, PartialRoundTripWithFailureAndDeps) {
   EXPECT_EQ(back.fail_reason, p.fail_reason);
   EXPECT_EQ(back.combinations, p.combinations);
   EXPECT_EQ(back.coefficients, p.coefficients);
-  ASSERT_EQ(back.deps.size(), 1u);
-  EXPECT_EQ(back.deps[0].rank, 12u);
-  ASSERT_EQ(back.deps[0].V.size(), 2u);
-  EXPECT_EQ(back.deps[0].V[0], dep.V[0]);
-  EXPECT_EQ(back.deps[0].V[1], dep.V[1]);
+  ASSERT_EQ(back.dep_ranks.size(), 1u);
+  EXPECT_EQ(back.dep_ranks[0], 12u);
+  ASSERT_EQ(back.dep_masks.size(), 2u);
+  EXPECT_EQ(back.dep_masks[0], p.dep_masks[0]);
+  EXPECT_EQ(back.dep_masks[1], p.dep_masks[1]);
 }
 
 TEST(Manifest, IncompletePartialRefusesToSerialize) {
@@ -282,11 +280,11 @@ TEST(ScanDirTest, CheckpointMarksDoneAndSkipsClaim) {
 }
 
 TEST(ScanE2E, DrainedScanMatchesSerialReportByteForByte) {
-  // Secure gadgets at their design order: byte-parity is the contract there
-  // (an insecure serial run stops at its first failure, a drained scan
-  // checks everything — verdict and witness still agree, stats don't).
+  // Byte parity with the one-worker run, secure and insecure alike: an
+  // insecure report counts the combinations up to the witness in the
+  // search order, however many more the drained scan checked.
   const std::vector<std::pair<std::string, int>> jobs = {
-      {"dom-1", 1}, {"dom-2", 2}, {"isw-1", 1}};
+      {"dom-1", 1}, {"dom-2", 2}, {"isw-1", 1}, {"refresh-3", 2}};
   for (const auto& [name, order] : jobs) {
     TempDir tmp("e2e_" + name);
     WorkerOptions w;
@@ -368,9 +366,6 @@ TEST(ScanE2E, MixedEnginesAndInterruptionsFinalizeIdentically) {
 }
 
 TEST(ScanE2E, InsecureGadgetVerdictAndWitnessMatchSerial) {
-  // The drained scan checks *every* combination (serial stops at the first
-  // failure), so stats differ by design — but the verdict and the
-  // order-minimal witness are contract.
   const circuit::Gadget g = gadgets::by_name("composition");
   verify::VerifyOptions opt = base_options(2);
   opt.joint_share_count = true;
@@ -391,6 +386,7 @@ TEST(ScanE2E, InsecureGadgetVerdictAndWitnessMatchSerial) {
   EXPECT_EQ(merged.counterexample->observables,
             serial.counterexample->observables);
   EXPECT_EQ(merged.counterexample->reason, serial.counterexample->reason);
+  EXPECT_EQ(merged.stats.combinations, serial.stats.combinations);
 }
 
 TEST(ScanE2E, FinalizeRefusesUndrainedManifest) {

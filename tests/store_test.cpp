@@ -19,9 +19,9 @@
 #include "spectral/spectrum.h"
 #include "store/cached_verify.h"
 #include "store/serial.h"
-#include "store/sha256.h"
 #include "store/store.h"
 #include "util/mask.h"
+#include "util/sha256.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
@@ -265,139 +265,53 @@ TEST(Serial, RejectsTamperedImages) {
   EXPECT_THROW(deserialize_basis(image + "x"), SerializationError);
 }
 
-// Rewrites a current file image as the v1 format the oldest release wrote:
-// version field 1, observable metadata without the per-observable support
-// masks (added in v2) and no trailing cone-index section (added in v3).
-// Every other payload byte is identical — all versions share the spectra
-// encoding — so this shim produces exactly what an old writer would.
-std::string downgrade_image_to_v1(const std::string& v2_image) {
-  const std::string payload = v2_image.substr(52);
-  ByteReader r(payload);
-  const auto pos = [&] { return payload.size() - r.remaining(); };
-
-  r.u8();  // needs flags
-  // Walk (and keep) the VarMap section, mirroring the reader's field order.
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) r.i32();  // wire_to_var
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) r.u32();  // var_to_wire
-  for (int m = 0; m < 3; ++m) {  // random/public/share masks
-    r.u64();
-    r.u64();
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {  // secret_vars
-    r.u64();
-    r.u64();
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i)  // secret_share_var
-    for (std::uint64_t j = 0, m = r.u64(); j < m; ++j) r.i32();
-  r.i32();  // num_vars
-  r.u64();  // relevant_publics
-  r.u64();
-
-  std::string v1_payload = payload.substr(0, pos());
-
-  // Re-encode the observable section dropping the v2-only support masks.
-  ByteWriter obs;
-  const std::uint64_t count = r.u64();
-  obs.u64(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    obs.u8(r.u8());           // kind
-    obs.str(r.str());         // name
-    obs.i32(r.i32());         // output_group
-    obs.i32(r.i32());         // output_share_index
-    obs.u64(r.u64());         // num_subsets
-    r.u64();                  // support (dropped)
-    r.u64();
-  }
-  v1_payload += obs.bytes();
-  std::string rest = payload.substr(pos());
-  // Strip the v3 cone-index tail: a populated section is
-  // flag(1) + varmap(32) + count(8) + count digests of 32 bytes; an empty
-  // one is the single zero flag byte.
-  const std::size_t full_cones =
-      1 + 32 + 8 + 32 * static_cast<std::size_t>(count);
-  if (rest.size() >= full_cones && rest[rest.size() - full_cones] == 1)
-    rest.resize(rest.size() - full_cones);
-  else
-    rest.resize(rest.size() - 1);
-  v1_payload += rest;
-
-  ByteWriter file;
-  for (char c : kMagic) file.u8(static_cast<std::uint8_t>(c));
-  file.u32(1);
-  Sha256 hash;
-  hash.update(v1_payload);
-  std::uint8_t digest[32];
-  hash.digest(digest);
-  for (std::uint8_t b : digest) file.u8(b);
-  file.u64(v1_payload.size());
-  return file.take() + v1_payload;
-}
-
-// Backward compatibility: a SANIBAS v1 artifact (previous release's writer)
-// must load quarantine-free, with the support masks recomputed from the
-// stored spectra.
-TEST(Serial, V1ArtifactsStillDeserialize) {
+// Only the current format version is read.  An image of an older one
+// (here version 2, the format before the cone index) is a quarantined miss:
+// verify_with_store rebuilds and re-saves the Basis, and the deterministic
+// report is byte-identical to a cold run.
+TEST(Store, OldFormatVersionIsQuarantinedAndRebuilt) {
   const circuit::Gadget g = gadgets::by_name("dom-2");
-  for (verify::EngineKind engine :
-       {verify::EngineKind::kMAPI, verify::EngineKind::kFUJITA}) {
-    verify::VerifyOptions opt;
-    opt.engine = engine;
-    std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
-    const std::string v2 = serialize_basis(*basis, needs_of(engine));
-    const std::string v1 = downgrade_image_to_v1(v2);
-    ASSERT_NE(v1, v2);
-    EXPECT_LT(v1.size(), v2.size());
-
-    std::shared_ptr<const verify::Basis> back = deserialize_basis(v1);
-    ASSERT_NE(back, nullptr) << verify::engine_name(engine);
-    ASSERT_EQ(back->obs.size(), basis->obs.size());
-    ASSERT_EQ(back->flat.size(), basis->flat.size());
-    for (std::size_t i = 0; i < basis->flat.size(); ++i) {
-      ASSERT_EQ(back->flat[i].size(), basis->flat[i].size());
-      for (std::size_t s = 0; s < basis->flat[i].size(); ++s)
-        EXPECT_TRUE(back->flat[i][s] == basis->flat[i][s]);
-    }
-    for (std::size_t i = 0; i < basis->obs.size(); ++i) {
-      if (needs_of(engine).spectra) {
-        // Recomputed from the spectra — must match what the build recorded.
-        EXPECT_TRUE(back->obs[i].support == basis->obs[i].support)
-            << verify::engine_name(engine) << " obs " << i;
-      } else {
-        // Spectra-free artifacts have nothing to recompute from; the empty
-        // mask is the documented degraded state (nothing reads it there).
-        EXPECT_TRUE(back->obs[i].support == Mask{});
-      }
-    }
-  }
-}
-
-TEST(Store, V1ArtifactsLoadQuarantineFree) {
-  const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
-  std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
-  const std::string v1 =
-      downgrade_image_to_v1(serialize_basis(*basis, needs_of(opt.engine)));
+  opt.order = 2;
+  opt.deterministic_report = true;
+  const std::string want =
+      verify::json_report("dom-2", opt, verify::verify(g, opt), 0.0);
 
-  TempDir dir("v1_compat");
+  TempDir dir("old_version");
   ArtifactStore store({dir.str(), 0});
-  const std::string key(64, 'b');
-  ASSERT_TRUE(store.put(key, v1));
-  std::shared_ptr<const verify::Basis> back = store.load_basis(key);
-  ASSERT_NE(back, nullptr);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().quarantined, 0u);
-  EXPECT_FALSE(fs::exists(fs::path(dir.str()) / "quarantine" / key));
-  ASSERT_EQ(back->flat.size(), basis->flat.size());
+  const std::string key = artifact_key(g, opt);
+  // The version field sits outside the hashed payload, so relabelling a
+  // current image leaves it intact apart from its version.
+  std::string old =
+      serialize_basis(*build_basis_for(g, opt), needs_of(opt.engine));
+  ASSERT_EQ(old[8], static_cast<char>(kFormatVersion));
+  old[8] = 2;
+  ASSERT_TRUE(store.put(key, old));
+
+  StoreOutcome rebuilt;
+  const verify::VerifyResult r = verify_with_store(g, opt, store, &rebuilt);
+  EXPECT_FALSE(rebuilt.hit);
+  EXPECT_TRUE(rebuilt.saved);
+  EXPECT_EQ(store.stats().quarantined, 1u);
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / key));
+  EXPECT_EQ(verify::json_report("dom-2", opt, r, 0.0), want);
+
+  // The re-saved artifact serves the next run.
+  StoreOutcome warm;
+  const verify::VerifyResult again = verify_with_store(g, opt, store, &warm);
+  EXPECT_TRUE(warm.hit);
+  EXPECT_EQ(verify::json_report("dom-2", opt, again, 0.0), want);
 }
 
 TEST(Serial, Sha256KnownAnswers) {
   // FIPS 180-4 test vectors.
-  EXPECT_EQ(sha256_hex(""),
+  EXPECT_EQ(util::sha256_hex(""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(sha256_hex("abc"),
+  EXPECT_EQ(util::sha256_hex("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
   EXPECT_EQ(
-      sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      util::sha256_hex(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 

@@ -178,12 +178,10 @@ TEST(UnionPass, EmptyStorePasses) {
 
 // ---------------------------------------------------------------------------
 // End to end: the deterministic report of a gadget is the same at every
-// worker count.  Two things in it are shaped by the worker count by design:
-// the count itself (the "N jobs" token and the "parallel" section) and the
-// order in which the zeroed phases are listed (the serial driver registers
-// "thaw" before "base", the parallel merge after).  Those are normalized
-// before comparing; every other byte — verdict, counters, witness — must
-// match.
+// worker count.  Only the count itself is shaped by the worker count by
+// design (the "N jobs" token and the "parallel" section); it is cleared
+// before comparing, and every other byte — verdict, counters, phases,
+// witness — must match.
 
 circuit::Gadget mux_leak() {
   // q = r ? a0 : a1: every row passes, but the distribution depends on
@@ -203,12 +201,6 @@ std::string deterministic_reports(const circuit::Gadget& g,
   opt.deterministic_report = true;
   VerifyResult r = verify(g, opt);
   r.stats.parallel = ParallelStats{};
-  std::vector<std::string> phases = r.stats.timers.names();
-  std::sort(phases.begin(), phases.end());
-  PhaseTimers sorted;
-  for (const std::string& name : phases)
-    sorted.add(name, r.stats.timers.get(name));
-  r.stats.timers = sorted;
   std::string out = summarize(g.netlist.name(), opt, r, 0.0) + "\n";
   if (!r.secure && r.counterexample) {
     const circuit::Unfolded u = circuit::unfold(g, opt.cache_bits);

@@ -109,18 +109,18 @@ std::string build_verify_request(const CliArgs& args) {
   }
   if (auto v = args.value("notion"))
     os << ",\"notion\":\"" << json_escape(*v) << "\"";
-  if (auto v = args.value("order")) os << ",\"order\":" << std::stoi(*v);
+  if (args.value("order")) os << ",\"order\":" << args.value_int("order", 1);
   if (auto v = args.value("engine"))
     os << ",\"engine\":\"" << json_escape(*v) << "\"";
   if (args.has("robust")) os << ",\"robust\":true";
   if (args.has("joint")) os << ",\"joint\":true";
   if (args.has("no-union")) os << ",\"union\":false";
-  if (auto v = args.value("time-limit"))
-    os << ",\"time_limit\":" << std::stod(*v);
-  if (auto v = args.value("jobs")) os << ",\"jobs\":" << std::stoi(*v);
-  if (auto v = args.value("memo")) os << ",\"memo\":" << std::stoi(*v);
-  if (auto v = args.value("cache-bits"))
-    os << ",\"cache_bits\":" << std::stoi(*v);
+  if (args.value("time-limit"))
+    os << ",\"time_limit\":" << args.value_double("time-limit", 0.0);
+  if (args.value("jobs")) os << ",\"jobs\":" << args.value_int("jobs", 1);
+  if (args.value("memo")) os << ",\"memo\":" << args.value_int("memo", 64);
+  if (args.value("cache-bits"))
+    os << ",\"cache_bits\":" << args.value_int("cache-bits", 18);
   if (auto v = args.value("var-order"))
     os << ",\"var_order\":\"" << json_escape(*v) << "\"";
   if (args.has("sift")) os << ",\"sift\":true";
@@ -128,8 +128,8 @@ std::string build_verify_request(const CliArgs& args) {
   if (args.has("deterministic-report")) os << ",\"deterministic\":true";
   if (auto v = args.value("format"))
     os << ",\"format\":\"" << json_escape(*v) << "\"";
-  if (auto v = args.value("priority"))
-    os << ",\"priority\":" << std::stoi(*v);
+  if (args.value("priority"))
+    os << ",\"priority\":" << args.value_int("priority", 0);
   os << "}\n";
   return os.str();
 }

@@ -18,6 +18,7 @@
 
 #include <csignal>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "daemon/server.h"
@@ -56,9 +57,13 @@ int main(int argc, char** argv) {
   options.store_dir = args.value_or("store", "");
   if (auto cap = args.value("store-max-bytes"))
     options.store_max_bytes = std::stoull(*cap);
-  options.queue_capacity =
-      static_cast<std::size_t>(args.value_int("queue-capacity", 64));
-  options.executors = args.value_int("executors", 2);
+  try {
+    options.queue_capacity =
+        static_cast<std::size_t>(args.value_int("queue-capacity", 64));
+    options.executors = args.value_int("executors", 2);
+  } catch (const std::invalid_argument& e) {
+    return usage(e.what());
+  }
   if (options.executors < 1) return usage("--executors must be >= 1");
 
   // The journal always echoes to stderr so operators keep the one-line
