@@ -8,9 +8,9 @@ namespace sani::sched {
 
 namespace {
 
-void shard_one_size(int n, int k, int workers, const ShardPlanOptions& opts,
-                    std::vector<Shard>& out) {
-  const std::uint64_t total = binomial(n, k);
+/// Splits [0, total) of one shard shape (size k, or 0 for blocks).
+void split(std::uint64_t total, int k, int workers,
+           const ShardPlanOptions& opts, std::vector<Shard>& out) {
   if (total == 0) return;
   std::uint64_t size;
   if (opts.fixed_size > 0) {
@@ -36,12 +36,26 @@ std::vector<Shard> plan_shards(int n, int d, int workers, bool largest_first,
   if (workers < 1) workers = 1;
   if (largest_first) {
     for (int k = std::min(d, n); k >= 1; --k)
-      shard_one_size(n, k, workers, options, out);
+      split(binomial(n, k), k, workers, options, out);
   } else {
     for (int k = 1; k <= d && k <= n; ++k)
-      shard_one_size(n, k, workers, options, out);
+      split(binomial(n, k), k, workers, options, out);
   }
   return out;
+}
+
+std::vector<Shard> plan_depth_first_blocks(int n, int d, int workers,
+                                           const ShardPlanOptions& options) {
+  std::vector<Shard> out;
+  split(count_combinations_up_to(n, d), 0, workers < 1 ? 1 : workers, options,
+        out);
+  return out;
+}
+
+std::vector<int> shard_combination(const Shard& shard, int n, int d,
+                                   std::uint64_t index) {
+  return shard.k > 0 ? unrank_combination(n, shard.k, index)
+                     : unrank_depth_first(n, d, index);
 }
 
 }  // namespace sani::sched

@@ -34,6 +34,45 @@ bool next_combination(std::vector<int>& combo, int n) {
   return true;
 }
 
+bool next_depth_first(std::vector<int>& combo, int n, int d) {
+  const int last = combo.back();
+  if (last + 1 < n) {
+    if (static_cast<int>(combo.size()) < d)
+      combo.push_back(last + 1);  // descend: the first extension
+    else
+      ++combo.back();  // the next sibling
+    return true;
+  }
+  // `last` is n - 1: no extension and no sibling, so the next combination
+  // is the parent's next sibling (the parent's last index is below n - 1).
+  combo.pop_back();
+  if (combo.empty()) return false;
+  ++combo.back();
+  return true;
+}
+
+std::vector<int> unrank_depth_first(int n, int d, std::uint64_t index) {
+  const BinomialTable& c = binomial_table(n, d);
+  std::vector<int> combo;
+  int lo = 0;
+  for (;;) {
+    // Skip whole subtrees: prefix + v together with every extension of it
+    // by up to d - |prefix| - 1 larger indices.
+    const int depth = static_cast<int>(combo.size());
+    int v = lo;
+    for (;; ++v) {
+      std::uint64_t subtree = 0;
+      for (int j = 0; j < d - depth; ++j) subtree += c(n - 1 - v, j);
+      if (index < subtree) break;
+      index -= subtree;
+    }
+    combo.push_back(v);
+    if (index == 0) return combo;
+    --index;  // prefix + v itself comes before its extensions
+    lo = v + 1;
+  }
+}
+
 std::uint64_t binomial(int n, int k) {
   if (k < 0 || k > n) return 0;
   if (k > n - k) k = n - k;
