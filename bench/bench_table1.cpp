@@ -1,13 +1,13 @@
 // Table I: LIL (the TCHES'20 list-of-lists exact tool) vs this repo's
-// verifier under `--engine auto` (the adaptive portfolio over the flat-
-// spectrum engines; the paper's MAPI method is what it resolves to on the
-// large rows) — wall time per benchmark gadget and the headline median
-// speedup (paper: 1.88x on an Intel Celeron N3150).
+// verifier under `--engine auto` (which resolves to COEF: flat convolution
+// plus the per-coefficient row check) — wall time per benchmark gadget and
+// the headline median speedup (paper: 1.88x on an Intel Celeron N3150; its
+// own column is MAPI, see bench_table2).
 //
 // Absolute times differ on other hardware; the shape to reproduce is the
-// per-gadget speedup column: clear wins on the small gadgets (where the
-// portfolio right-sizes the computed tables), and orders of magnitude on
-// keccak-2/3.
+// per-gadget speedup column: wins on the small gadgets (partly from the
+// right-sized unfolding table), and orders of magnitude on keccak-2/3,
+// where LIL scans ~2^#shares region cells per row.
 //
 // --json [PATH] additionally writes the rows as machine-readable JSON
 // (default PATH: BENCH_table1.json).  The committed baseline at the repo

@@ -9,24 +9,13 @@
 #include "util/sha256.h"
 #include "verify/incremental.h"
 #include "verify/qinfo.h"
-#include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
 
 namespace sani::store {
 
 verify::BasisNeeds needs_for_engine(verify::EngineKind engine) {
-  // A portfolio artifact carries every engine's material, so whichever
-  // engine the cost model picks — now or on a later warm start — runs from
-  // the same stored Basis.
-  if (engine == verify::EngineKind::kAuto) return verify::all_engine_needs();
-  const verify::BackendInfo& info = verify::backend_info(engine);
-  verify::BasisNeeds needs;
-  needs.spectra = info.needs_spectra;
-  needs.lil = info.needs_lil;
-  needs.frozen_fns = info.frozen_fns;
-  needs.frozen_spectra = info.frozen_spectra;
-  return needs;
+  return verify::basis_needs(engine);
 }
 
 std::string artifact_key(const std::string& canonical_ilang,

@@ -40,10 +40,9 @@ class CancelToken;
 
 namespace sani::store {
 
-/// Engine -> BasisNeeds from the backend registry (kAuto = the union of
-/// every engine's needs, so the artifact serves whichever engine the
-/// portfolio picks later).  Shared by the artifact keying and the scan
-/// planner/worker basis-coverage checks (store/scan.h).
+/// Engine -> BasisNeeds (verify::basis_needs; kAuto = COEF's needs).
+/// Shared by the artifact keying and the scan planner/worker
+/// basis-coverage checks (store/scan.h).
 verify::BasisNeeds needs_for_engine(verify::EngineKind engine);
 
 /// Content hash (64-hex SHA-256) of the Basis-determining inputs, from the

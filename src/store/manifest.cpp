@@ -67,13 +67,6 @@ std::string claim_body(std::size_t index, const std::string& trace_id) {
   return os.str();
 }
 
-/// Age of `path` in seconds via mtime; nullopt when the file is gone.
-std::optional<double> file_age_seconds(const std::string& path) {
-  struct ::stat st;
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  return std::difftime(::time(nullptr), st.st_mtime);
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("scan: cannot read " + path);
@@ -163,6 +156,35 @@ std::string serialize_manifest(const ScanManifest& m) {
   return frame(kManifestMagic, kManifestFormatVersion, w.bytes());
 }
 
+std::optional<double> file_age_seconds(const std::string& path) {
+  struct ::stat st;
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  // Both sides at full resolution: file timestamps can be finer than the
+  // coarse clock time() reads, so a just-written file could otherwise look
+  // up to a second old in the future (a negative age).
+  struct ::timespec now;
+  ::clock_gettime(CLOCK_REALTIME, &now);
+  const double age =
+      static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
+      static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec) * 1e-9;
+  return std::max(age, 0.0);
+}
+
+namespace {
+
+/// Reads one enum byte of a manifest, rejecting any value past `last`: an
+/// out-of-range notion would make every coefficient check read as secure.
+template <typename E>
+E enum_byte(ByteReader& r, E last, const char* field) {
+  const std::uint8_t b = r.u8();
+  if (b > static_cast<std::uint8_t>(last))
+    throw SerializationError(std::string("manifest: invalid ") + field +
+                             " byte " + std::to_string(b));
+  return static_cast<E>(b);
+}
+
+}  // namespace
+
 ScanManifest deserialize_manifest(const std::string& file_image) {
   const std::string payload = checked_payload_for(file_image, kManifestMagic,
                                                   kManifestFormatVersion);
@@ -172,16 +194,20 @@ ScanManifest deserialize_manifest(const std::string& file_image) {
   m.canonical_ilang = r.str();
   m.basis_key = r.str();
   verify::VerifyOptions& o = m.options;
-  o.notion = static_cast<verify::Notion>(r.u8());
+  o.notion = enum_byte(r, verify::Notion::kPINI, "notion");
   o.order = r.i32();
-  o.engine = static_cast<verify::EngineKind>(r.u8());
+  // The engine must be one a worker can run: registered, never kAuto.
+  o.engine = enum_byte(r, verify::EngineKind::kCOEF, "engine");
+  if (o.engine == verify::EngineKind::kAuto)
+    throw SerializationError("manifest: unresolved engine byte");
   o.probes.include_inputs = r.u8() != 0;
   o.probes.dedupe = r.u8() != 0;
   o.probes.glitch_robust = r.u8() != 0;
   o.union_check = r.u8() != 0;
   o.joint_share_count = r.u8() != 0;
-  o.search_order = static_cast<verify::SearchOrder>(r.u8());
-  o.var_order = static_cast<circuit::VarOrder>(r.u8());
+  o.search_order =
+      enum_byte(r, verify::SearchOrder::kLargestFirst, "search order");
+  o.var_order = enum_byte(r, circuit::VarOrder::kInterleaved, "var order");
   o.sift_after_unfold = r.u8() != 0;
   o.shard_size = r.u64();
   o.memo_capacity = r.i64();

@@ -107,6 +107,10 @@ std::string manifest_key(const ScanManifest& manifest);
 std::string serialize_manifest(const ScanManifest& manifest);
 ScanManifest deserialize_manifest(const std::string& file_image);
 
+/// Seconds since `path` was last modified (never negative); nullopt when
+/// the file is gone.  Claim leases and telemetry snapshots age by it.
+std::optional<double> file_age_seconds(const std::string& path);
+
 /// SANIPAR image of a complete per-shard checkpoint.  A dependency entry is
 /// its rank and V only (the union pass recomputes each RowContext from the
 /// basis); the V-mask width is the manifest's num_secrets.  `trace_id` is the scan's

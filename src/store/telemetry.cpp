@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "store/manifest.h"
 #include "util/json.h"
 
 namespace sani::store {
@@ -62,12 +63,6 @@ bool atomic_write(const std::string& final_path, const std::string& bytes) {
     return false;
   }
   return true;
-}
-
-double file_age_seconds(const std::string& path) {
-  struct ::stat st;
-  if (::stat(path.c_str(), &st) != 0) return 0.0;
-  return std::difftime(::time(nullptr), st.st_mtime);
 }
 
 /// Generic re-emitter for parsed JSON values — the stitcher shuffles whole
@@ -184,7 +179,8 @@ std::vector<WorkerSnapshot> read_worker_snapshots(
       snap.rate = v->get_number("rate");
       snap.rss_bytes = static_cast<std::uint64_t>(v->get_number("rss_bytes"));
       snap.live_nodes = v->get_number("live_nodes");
-      snap.age_seconds = file_age_seconds(entry.path().string());
+      snap.age_seconds =
+          file_age_seconds(entry.path().string()).value_or(0.0);
       out.push_back(std::move(snap));
     } catch (const std::exception&) {
       // A snapshot mid-rename or from a newer format: skip, don't fail the

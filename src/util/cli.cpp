@@ -64,6 +64,13 @@ int CliArgs::value_int(const std::string& name, int def) const {
   return v ? parse_number<int>(name, *v, "an integer") : def;
 }
 
+std::uint64_t CliArgs::value_u64(const std::string& name,
+                                 std::uint64_t def) const {
+  auto v = value(name);
+  return v ? parse_number<std::uint64_t>(name, *v, "a non-negative integer")
+           : def;
+}
+
 double CliArgs::value_double(const std::string& name, double def) const {
   auto v = value(name);
   if (!v) return def;

@@ -5,6 +5,7 @@
 // collected as positionals.  Deliberately tiny: the harness binaries need a
 // handful of switches (--full, --level N, --gadget NAME), not a framework.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +26,12 @@ class CliArgs {
   /// an int: "abc", "4x" or an out-of-range number throws
   /// std::invalid_argument ("--jobs: expected an integer, got 'abc'").
   int value_int(const std::string& name, int def) const;
+
+  /// Unsigned 64-bit option with a default (byte caps, shard sizes).  The
+  /// whole value must parse as a non-negative integer that fits, or it
+  /// throws std::invalid_argument as value_int does ("-1" and "12abc" are
+  /// errors, not a wrapped or truncated value).
+  std::uint64_t value_u64(const std::string& name, std::uint64_t def) const;
 
   /// Double-valued option with a default (fractional --time-limit etc.).
   /// The whole value must parse as a finite number, or it throws

@@ -53,6 +53,8 @@ struct RowCheckQuery {
   dd::Bdd violation_region;                 // ADD backends
   const ForbiddenRegion* region = nullptr;  // scan backends
   std::uint64_t* coefficients = nullptr;    // region lookups are counted here
+  const Checker* checker = nullptr;         // per-coefficient check (COEF)
+  RowContext row;                           // the combination's composition
 };
 
 /// Engine-specific representation of the rows at the current combination.

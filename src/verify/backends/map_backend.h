@@ -1,16 +1,19 @@
 #pragma once
-// Flat-spectrum backend (MAP and MAPI engines).
+// Flat-spectrum backend (MAP, MAPI and COEF engines).
 //
 // Convolution runs on the shared Basis' flat sorted spectra through a
 // ConvolutionArena: cross products are emitted into reusable scratch,
 // sorted, and collapsed into per-depth row-set slots, so the steady-state
 // combination scan performs zero heap allocations (ArenaStats makes the
-// claim testable).  Verification is either the scan product with the
-// materialized ForbiddenRegion, each coordinate resolved by binary search
-// over the sorted row (MAP), or the paper's symbolic ADD product (MAPI;
-// needs the manager).  For MAPI the Driver has already thawed the Basis'
-// frozen base-spectrum ADDs into the manager, so the per-row ADD rebuilds
-// hit a warm unique table.
+// claim testable).  The three engines differ only in the row check:
+//  * MAP — the scan product with the materialized ForbiddenRegion, each
+//    coordinate resolved by binary search over the sorted row;
+//  * MAPI — the paper's symbolic ADD product (needs the manager; the Driver
+//    has already thawed the Basis' frozen base-spectrum ADDs into it, so
+//    the per-row ADD rebuilds hit a warm unique table);
+//  * COEF — Checker::coefficient_violates at each nonzero coordinate of the
+//    row: T(alpha, rho = 0) is a popcount predicate, so a row costs
+//    O(nonzeros) with neither a region nor a manager.
 
 #include "spectral/flat_spectrum.h"
 #include "verify/backends/backend.h"
@@ -18,9 +21,12 @@
 
 namespace sani::verify {
 
+/// How MapBackend::check_rows decides a row (see the file comment).
+enum class MapCheck { kRegionScan, kAdd, kCoefficients };
+
 class MapBackend : public Backend {
  public:
-  MapBackend(const BackendContext& ctx, bool use_add);
+  MapBackend(const BackendContext& ctx, MapCheck check);
 
   void prepare() override;
   void push(const std::vector<int>& path) override;
@@ -46,7 +52,7 @@ class MapBackend : public Backend {
 
   std::shared_ptr<const Basis> basis_;
   dd::Manager* manager_;  // MAPI verification only
-  bool use_add_;
+  MapCheck check_;
   PhaseTimers& timers_;
   std::uint64_t& coefficients_;
   int order_;

@@ -15,11 +15,15 @@ std::unique_ptr<Backend> make_lil(const BackendContext& ctx) {
 }
 
 std::unique_ptr<Backend> make_map(const BackendContext& ctx) {
-  return std::make_unique<MapBackend>(ctx, /*use_add=*/false);
+  return std::make_unique<MapBackend>(ctx, MapCheck::kRegionScan);
 }
 
 std::unique_ptr<Backend> make_mapi(const BackendContext& ctx) {
-  return std::make_unique<MapBackend>(ctx, /*use_add=*/true);
+  return std::make_unique<MapBackend>(ctx, MapCheck::kAdd);
+}
+
+std::unique_ptr<Backend> make_coef(const BackendContext& ctx) {
+  return std::make_unique<MapBackend>(ctx, MapCheck::kCoefficients);
 }
 
 std::unique_ptr<Backend> make_fujita(const BackendContext& ctx) {
@@ -33,19 +37,28 @@ const std::vector<BackendInfo>& backend_registry() {
       {EngineKind::kLIL, "lil",
        "list-of-lists convolution + list-scan verification [11]",
        /*needs_thaw=*/false, /*needs_spectra=*/true, /*needs_lil=*/true,
-       /*frozen_fns=*/false, /*frozen_spectra=*/false, &make_lil},
+       /*frozen_fns=*/false, /*frozen_spectra=*/false,
+       /*needs_region=*/true, &make_lil},
       {EngineKind::kMAP, "map",
        "hash-map convolution + map-scan verification",
        /*needs_thaw=*/false, /*needs_spectra=*/true, /*needs_lil=*/false,
-       /*frozen_fns=*/false, /*frozen_spectra=*/false, &make_map},
+       /*frozen_fns=*/false, /*frozen_spectra=*/false,
+       /*needs_region=*/true, &make_map},
       {EngineKind::kMAPI, "mapi",
        "hash-map convolution + ADD verification (the paper's method)",
        /*needs_thaw=*/true, /*needs_spectra=*/true, /*needs_lil=*/false,
-       /*frozen_fns=*/false, /*frozen_spectra=*/true, &make_mapi},
+       /*frozen_fns=*/false, /*frozen_spectra=*/true,
+       /*needs_region=*/false, &make_mapi},
       {EngineKind::kFUJITA, "fujita",
        "per-combination Fujita transform + ADD verification",
        /*needs_thaw=*/true, /*needs_spectra=*/false, /*needs_lil=*/false,
-       /*frozen_fns=*/true, /*frozen_spectra=*/false, &make_fujita},
+       /*frozen_fns=*/true, /*frozen_spectra=*/false,
+       /*needs_region=*/false, &make_fujita},
+      {EngineKind::kCOEF, "coef",
+       "flat convolution + per-coefficient verification (what auto runs)",
+       /*needs_thaw=*/false, /*needs_spectra=*/true, /*needs_lil=*/false,
+       /*frozen_fns=*/false, /*frozen_spectra=*/false,
+       /*needs_region=*/false, &make_coef},
   };
   return registry;
 }

@@ -18,7 +18,8 @@ namespace sani::verify {
 
 struct BackendInfo {
   EngineKind kind;
-  const char* name;     // CLI spelling ("lil", "map", "mapi", "fujita")
+  const char* name;     // CLI spelling ("lil", "map", "mapi", "fujita",
+                        // "coef")
   const char* summary;  // one-line description for --help / errors
   bool needs_thaw;      // verification multiplies against predicate BDDs:
                         // the Driver creates a private dd::Manager and thaws
@@ -29,10 +30,12 @@ struct BackendInfo {
   bool needs_lil;       // Basis must carry the sorted-list copies
   bool frozen_fns;      // Basis must freeze the XOR-subset function BDDs
   bool frozen_spectra;  // Basis must freeze the base-spectrum ADDs
+  bool needs_region;    // the row check scans a materialized
+                        // ForbiddenRegion (LIL/MAP)
   std::unique_ptr<Backend> (*make)(const BackendContext& ctx);
 };
 
-/// All registered backends, in EngineKind order.
+/// All registered backends, in EngineKind order (kAuto is not one).
 const std::vector<BackendInfo>& backend_registry();
 
 /// Registry entry of `kind` (every EngineKind is registered).
@@ -41,7 +44,7 @@ const BackendInfo& backend_info(EngineKind kind);
 /// Registry entry with CLI name `name`, or nullptr if unknown.
 const BackendInfo* backend_by_name(const std::string& name);
 
-/// "lil, map, mapi, fujita" — for usage text and error messages.
+/// "lil, map, mapi, fujita, coef" — for usage text and error messages.
 std::string backend_name_list();
 
 }  // namespace sani::verify

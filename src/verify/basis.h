@@ -45,24 +45,22 @@ struct ObservableInfo {
   int output_group = -1;
   int output_share_index = -1;
   std::size_t num_subsets = 0;  // 2^m - 1 nonempty XOR-subsets
-  /// Union of the member functions' variable supports — a cheap structural
-  /// predictor for the portfolio front-end (serialized since SANIBAS v2; on
-  /// a v1 load it is recomputed from the spectra when they are present).
+  /// Union of the member functions' variable supports (serialized since
+  /// SANIBAS v2).
   Mask support;
 };
 
 /// Which representations the Basis must carry (from the backend registry).
 struct BasisNeeds {
-  bool spectra = true;          // flat base spectra (LIL/MAP/MAPI)
+  bool spectra = true;          // flat base spectra (LIL/MAP/MAPI/COEF)
   bool lil = false;             // sorted-list copies (LIL only)
   bool frozen_fns = false;      // freeze the XOR-subset BDDs (FUJITA)
   bool frozen_spectra = false;  // freeze the base-spectrum ADDs (MAPI)
 };
 
-/// The union of every engine's needs — what a Basis built for the kAuto
-/// portfolio carries, so whichever engine the cost model picks (now or on a
-/// later warm start from the artifact store) runs from the same artifact.
-BasisNeeds all_engine_needs();
+/// The needs of `engine`'s registry entry; kAuto carries COEF's, the engine
+/// it resolves to (flat spectra only: no LIL copies, no frozen forest).
+BasisNeeds basis_needs(EngineKind engine);
 
 /// Per-observable structural cone digests (circuit/cone_hash.h) plus the
 /// varmap role fingerprint they are relative to.  `available` is false on a

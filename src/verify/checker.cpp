@@ -22,6 +22,7 @@ const char* engine_name(EngineKind e) {
     case EngineKind::kMAPI: return "MAPI";
     case EngineKind::kFUJITA: return "FUJITA";
     case EngineKind::kAuto: return "auto";
+    case EngineKind::kCOEF: return "COEF";
   }
   return "?";
 }

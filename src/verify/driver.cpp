@@ -27,6 +27,7 @@ Driver::Driver(std::shared_ptr<const Basis> basis,
                       : nullptr),
       rowcheck_(basis_->vars, options.notion, options.joint_share_count,
                 basis_->relevant_publics, preds_.get(),
+                backend_info(options.engine).needs_region,
                 &stats_.region_cache),
       cancel_(cancel) {
   if (!cancel_) {

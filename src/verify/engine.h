@@ -51,7 +51,7 @@ namespace sani::verify {
 
 struct IncrementalContext;
 
-/// The front half of verify(): unfolds `gadget` (under the portfolio with a
+/// The front half of verify(): unfolds `gadget` (under `auto` with a
 /// right-sized manager, see suggest_unfold_cache_bits), builds its
 /// observable universe and the shared Basis for options.engine.  The
 /// artifact store's cold path builds its Basis here too.

@@ -4,11 +4,12 @@ namespace sani::verify {
 
 RowCheck::RowCheck(const circuit::VarMap& vars, Notion notion,
                    bool joint_share_count, const Mask& relevant_publics,
-                   PredicateBuilder* preds, CacheStats* stats)
+                   PredicateBuilder* preds, bool scan_regions, CacheStats* stats)
     : vars_(vars),
       checker_(vars, notion, joint_share_count),
       relevant_publics_(relevant_publics),
       preds_(preds),
+      scan_regions_(scan_regions),
       stats_(stats) {}
 
 RowCheck::Key RowCheck::key_of(const RowContext& row) const {
@@ -32,6 +33,9 @@ RowCheckQuery RowCheck::query(const RowContext& row,
                               std::uint64_t* coefficients) {
   RowCheckQuery q;
   q.coefficients = coefficients;
+  q.checker = &checker_;
+  q.row = row;
+  if (!preds_ && !scan_regions_) return q;
   const Key key = key_of(row);
   if (preds_) {
     auto it = predicates_.find(key);

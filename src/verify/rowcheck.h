@@ -7,7 +7,9 @@
 // builds the violation-region BDD (ADD engines) or the materialized
 // ForbiddenRegion (scan engines) once per signature and serves every later
 // combination with the same signature from a cache; hit/miss counts land in
-// VerifyStats::region_cache.
+// VerifyStats::region_cache.  The COEF engine needs neither: its query
+// carries only the Checker and the combination's RowContext, and it never
+// touches the cache.
 
 #include <cstdint>
 #include <map>
@@ -27,12 +29,13 @@ namespace sani::verify {
 class RowCheck {
  public:
   /// `preds` is the predicate builder over the engine's manager for the ADD
-  /// engines, null for the scan engines (which get ForbiddenRegions over
-  /// `vars.share_vars | relevant_publics` instead).  `vars` must outlive
-  /// the RowCheck (the driver passes the shared Basis' value copy).
+  /// engines, null otherwise.  With `scan_regions` set (LIL/MAP) every
+  /// query carries a ForbiddenRegion over `vars.share_vars |
+  /// relevant_publics`.  `vars` must outlive the RowCheck (the driver
+  /// passes the shared Basis' value copy).
   RowCheck(const circuit::VarMap& vars, Notion notion, bool joint_share_count,
            const Mask& relevant_publics, PredicateBuilder* preds,
-           CacheStats* stats);
+           bool scan_regions, CacheStats* stats);
 
   const Checker& checker() const { return checker_; }
 
@@ -53,6 +56,7 @@ class RowCheck {
   Checker checker_;
   Mask relevant_publics_;
   PredicateBuilder* preds_;
+  bool scan_regions_;
   CacheStats* stats_;
   std::map<Key, dd::Bdd> predicates_;
   std::map<Key, std::unique_ptr<ForbiddenRegion>> regions_;

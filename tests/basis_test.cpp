@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,7 +135,8 @@ TEST(Basis, MapiBasisCarriesFrozenSpectra) {
 // ---------------------------------------------------------------------------
 
 TEST(Registry, RoundTripsEveryEngine) {
-  for (EngineKind kind : kAllEngines) {
+  for (const BackendInfo& registered : backend_registry()) {
+    const EngineKind kind = registered.kind;
     const BackendInfo& info = backend_info(kind);
     EXPECT_EQ(info.kind, kind);
     const BackendInfo* by_name = backend_by_name(info.name);
@@ -143,8 +145,11 @@ TEST(Registry, RoundTripsEveryEngine) {
   }
   EXPECT_EQ(backend_by_name("bogus"), nullptr);
   const std::string names = backend_name_list();
-  for (const char* expected : {"lil", "map", "mapi", "fujita"})
+  for (const char* expected : {"lil", "map", "mapi", "fujita", "coef"})
     EXPECT_NE(names.find(expected), std::string::npos) << expected;
+  // kAuto is a front-end, not a backend.
+  EXPECT_EQ(backend_by_name("auto"), nullptr);
+  EXPECT_THROW(backend_info(EngineKind::kAuto), std::logic_error);
 }
 
 TEST(Registry, CapabilityFlagsMatchEngineFamilies) {
@@ -164,6 +169,19 @@ TEST(Registry, CapabilityFlagsMatchEngineFamilies) {
   EXPECT_FALSE(backend_info(EngineKind::kMAPI).frozen_fns);
   EXPECT_FALSE(backend_info(EngineKind::kLIL).frozen_fns);
   EXPECT_FALSE(backend_info(EngineKind::kMAP).frozen_spectra);
+  // Only the scan engines materialize forbidden regions.  COEF needs the
+  // flat spectra and nothing else: no thaw, no region, no frozen forest.
+  EXPECT_TRUE(backend_info(EngineKind::kLIL).needs_region);
+  EXPECT_TRUE(backend_info(EngineKind::kMAP).needs_region);
+  EXPECT_FALSE(backend_info(EngineKind::kMAPI).needs_region);
+  EXPECT_FALSE(backend_info(EngineKind::kFUJITA).needs_region);
+  const BackendInfo& coef = backend_info(EngineKind::kCOEF);
+  EXPECT_FALSE(coef.needs_thaw);
+  EXPECT_FALSE(coef.needs_region);
+  EXPECT_TRUE(coef.needs_spectra);
+  EXPECT_FALSE(coef.needs_lil);
+  EXPECT_FALSE(coef.frozen_fns);
+  EXPECT_FALSE(coef.frozen_spectra);
 }
 
 // ---------------------------------------------------------------------------

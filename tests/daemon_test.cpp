@@ -165,7 +165,7 @@ class Client {
 verify::VerifyOptions daemon_default_options(int order) {
   verify::VerifyOptions opt;
   opt.notion = verify::Notion::kSNI;
-  opt.engine = verify::backend_by_name("mapi")->kind;
+  opt.engine = verify::EngineKind::kAuto;
   opt.order = order;
   opt.probes.glitch_robust = false;
   opt.joint_share_count = false;
@@ -547,7 +547,7 @@ TEST(Protocol, ParseRequestAppliesCliDefaults) {
   ASSERT_EQ(req.op, daemon::Op::kVerify);
   const verify::VerifyOptions& o = req.verify.options;
   EXPECT_EQ(o.notion, verify::Notion::kSNI);
-  EXPECT_EQ(o.engine, verify::backend_by_name("mapi")->kind);
+  EXPECT_EQ(o.engine, verify::EngineKind::kAuto);
   EXPECT_EQ(o.order, 0);  // 0 = resolve from the gadget's design order
   EXPECT_TRUE(o.union_check);
   EXPECT_FALSE(o.probes.glitch_robust);

@@ -10,7 +10,8 @@ namespace sani::verify {
 namespace {
 
 constexpr EngineKind kAllEngines[] = {EngineKind::kLIL, EngineKind::kMAP,
-                                      EngineKind::kMAPI, EngineKind::kFUJITA};
+                                      EngineKind::kMAPI, EngineKind::kFUJITA,
+                                      EngineKind::kCOEF};
 constexpr Notion kAllNotions[] = {Notion::kProbing, Notion::kNI, Notion::kSNI,
                                   Notion::kPINI};
 
@@ -53,7 +54,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "sni-refresh-2", "sni-refresh-3"),
                        ::testing::ValuesIn(kAllNotions)));
 
-// All four backends walk the shared enumeration in the same order, so on an
+// All backends walk the shared enumeration in the same order, so on an
 // insecure instance they must agree on the *failing combination* too (the
 // witness coordinate alpha may differ between representations) — under both
 // search orders.

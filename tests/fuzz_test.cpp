@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "circuit/builder.h"
 #include "test_util.h"
 #include "verify/bruteforce.h"
@@ -13,8 +15,8 @@ using circuit::GadgetBuilder;
 using circuit::WireId;
 using test::Rng;
 
-// Differential fuzzing: random small masked circuits, all four spectral
-// engines against the exhaustive distribution oracle, across notions,
+// Differential fuzzing: random small masked circuits, every spectral
+// engine against the exhaustive distribution oracle, across notions,
 // counting modes and probe models.  Random circuits exercise corners the
 // curated gadgets never hit (constant subfunctions, duplicated wires,
 // redundant randomness, asymmetric share usage).
@@ -76,10 +78,21 @@ TEST_P(Differential, EnginesMatchOracleOnRandomCircuits) {
     } catch (const std::invalid_argument&) {
       continue;  // tuple too wide for the oracle (robust cones) — skip
     }
+    std::optional<VerifyResult> map;
     for (EngineKind e : {EngineKind::kLIL, EngineKind::kMAP,
-                         EngineKind::kMAPI, EngineKind::kFUJITA}) {
+                         EngineKind::kMAPI, EngineKind::kFUJITA,
+                         EngineKind::kCOEF}) {
       opt.engine = e;
       VerifyResult r = verify(g, opt);
+      if (e == EngineKind::kMAP) map = r;
+      if (e == EngineKind::kCOEF && r.counterexample) {
+        // COEF reports the coordinate the MAP region scan finds.
+        ASSERT_TRUE(map && map->counterexample);
+        EXPECT_EQ(r.counterexample->observables,
+                  map->counterexample->observables);
+        EXPECT_EQ(r.counterexample->alpha, map->counterexample->alpha)
+            << "seed=" << c.seed << " trial=" << trial;
+      }
       ASSERT_EQ(r.secure, oracle.secure)
           << "seed=" << c.seed << " trial=" << trial << " engine "
           << engine_name(e) << " notion " << notion_name(c.notion)

@@ -225,12 +225,15 @@ TEST(Cli, ParsesFlagsAndValues) {
 
 // Numeric flags parse the whole value or fail with a message naming the
 // flag; nothing falls back silently to 0 or to the default.
-std::string cli_error(const char* flag, const char* value, bool as_double) {
+std::string cli_error(const char* flag, const char* value, bool as_double,
+                      bool as_u64 = false) {
   const char* argv[] = {"prog", flag, value};
   const CliArgs args(3, argv);
   const std::string name = std::string(flag).substr(2);
   try {
-    if (as_double)
+    if (as_u64)
+      args.value_u64(name, 1);
+    else if (as_double)
       args.value_double(name, 1.0);
     else
       args.value_int(name, 1);
@@ -277,6 +280,21 @@ TEST(Cli, MalformedNumericFlagsAreTypedErrors) {
             "--time-limit: expected a finite number, got 'inf'");
   EXPECT_EQ(cli_error("--time-limit", "nan", true),
             "--time-limit: expected a finite number, got 'nan'");
+  // Byte caps and shard sizes: no negative value wraps round to 2^64 - 1,
+  // and no trailing garbage truncates the cap.
+  EXPECT_EQ(cli_error("--shard-size", "-1", false, true),
+            "--shard-size: expected a non-negative integer, got '-1'");
+  EXPECT_EQ(cli_error("--store-max-bytes", "12abc", false, true),
+            "--store-max-bytes: expected a non-negative integer, got '12abc'");
+  EXPECT_EQ(cli_error("--journal-max-bytes", "1e6", false, true),
+            "--journal-max-bytes: expected a non-negative integer, got '1e6'");
+  EXPECT_EQ(
+      cli_error("--store-max-bytes", "18446744073709551616", false, true),
+      "--store-max-bytes: expected a non-negative integer in range, got "
+      "'18446744073709551616'");
+  const char* argv[] = {"prog", "--store-max-bytes", "18446744073709551615"};
+  EXPECT_EQ(CliArgs(3, argv).value_u64("store-max-bytes", 0),
+            std::uint64_t{18446744073709551615u});
 }
 
 }  // namespace

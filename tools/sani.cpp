@@ -6,7 +6,7 @@
 //
 // Usage:
 //   sani verify   (--file g.ilang | --gadget dom-2) [--notion sni]
-//                 [--order D] [--engine mapi] [--robust] [--joint]
+//                 [--order D] [--engine auto] [--robust] [--joint]
 //                 [--no-union] [--time-limit S] [--var-order NAME]
 //                 [--jobs N]                    # 0 = all hardware threads
 //   sani scan     (--file g.ilang | --gadget dom-2) --store DIR [...]
@@ -74,12 +74,10 @@ int usage(const std::string& msg = "") {
       "  --notion probing|ni|sni|pini   security notion (default sni)\n"
       "  --order D                      number of observations (default:\n"
       "                                 the gadget's design order, or 1)\n"
-      "  --engine NAME                  implementation (default mapi); one\n"
-      "                                 of: " +
+      "  --engine NAME                  implementation (default auto =\n"
+      "                                 coef); one of: " +
           verify::backend_name_list() +
-          ", or auto (portfolio picks\n"
-      "                                 the engine per gadget from cheap\n"
-      "                                 structural predictors)\n"
+          ", auto\n"
       "  --robust                       glitch-extended probes\n"
       "  --joint                        total share counting (paper Fig. 2)\n"
       "  --no-union                     per-row T-predicate check only\n"
@@ -185,7 +183,7 @@ verify::VerifyOptions options_from(const CliArgs& args) {
   else if (notion == "pini") opt.notion = verify::Notion::kPINI;
   else throw std::invalid_argument("unknown notion '" + notion + "'");
 
-  const std::string engine = args.value_or("engine", "mapi");
+  const std::string engine = args.value_or("engine", "auto");
   if (engine == "auto")
     opt.engine = verify::EngineKind::kAuto;
   else if (const verify::BackendInfo* info = verify::backend_by_name(engine))
@@ -194,7 +192,7 @@ verify::VerifyOptions options_from(const CliArgs& args) {
     throw std::invalid_argument("unknown engine '" + engine +
                                 "' (registered engines: " +
                                 verify::backend_name_list() +
-                                ", or 'auto' for the portfolio)");
+                                ", or 'auto')");
 
   opt.order = args.value_int("order", default_order(args));
   opt.sift_after_unfold = args.has("sift");
@@ -207,8 +205,7 @@ verify::VerifyOptions options_from(const CliArgs& args) {
   opt.jobs = args.value_int("jobs", 1);
   if (opt.jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
   opt.memo_capacity = args.value_int("memo", 64);
-  opt.shard_size =
-      static_cast<std::uint64_t>(args.value_int("shard-size", 0));
+  opt.shard_size = args.value_u64("shard-size", 0);
   opt.cache_bits = args.value_int("cache-bits", opt.cache_bits);
   if (opt.cache_bits < 1 || opt.cache_bits > 30)
     throw std::invalid_argument("--cache-bits must be in [1, 30]");
@@ -237,8 +234,7 @@ verify::VerifyOptions options_from(const CliArgs& args) {
 void configure_journal(const CliArgs& args, bool echo) {
   obs::Journal::Options jopts;
   jopts.path = args.value_or("journal", "");
-  if (auto cap = args.value("journal-max-bytes"))
-    jopts.max_bytes = std::stoull(*cap);
+  jopts.max_bytes = args.value_u64("journal-max-bytes", jopts.max_bytes);
   jopts.echo_stderr = echo;
   obs::Journal::instance().configure(jopts);
 }
@@ -573,8 +569,8 @@ int main(int argc, char** argv) {
       if (auto store_dir = args.value("store")) {
         store::ArtifactStore::Options store_opt;
         store_opt.dir = *store_dir;
-        if (auto cap = args.value("store-max-bytes"))
-          store_opt.max_bytes = std::stoull(*cap);
+        store_opt.max_bytes =
+            args.value_u64("store-max-bytes", store_opt.max_bytes);
         store::ArtifactStore artifacts(store_opt);
         store::StoreOutcome outcome;
         r = store::verify_with_store(g, opt, artifacts, &outcome);
@@ -651,8 +647,8 @@ int main(int argc, char** argv) {
         if (!root) return nullptr;
         store::ArtifactStore::Options store_opt;
         store_opt.dir = *root;
-        if (auto cap = args.value("store-max-bytes"))
-          store_opt.max_bytes = std::stoull(*cap);
+        store_opt.max_bytes =
+            args.value_u64("store-max-bytes", store_opt.max_bytes);
         return std::make_unique<store::ArtifactStore>(store_opt);
       };
       const auto worker_options_from = [&args]() {
@@ -663,8 +659,7 @@ int main(int argc, char** argv) {
           wo.jobs = static_cast<int>(std::thread::hardware_concurrency());
         wo.lease_seconds = args.value_double("lease", 300.0);
         wo.throttle_seconds = args.value_double("throttle", 0.0);
-        wo.max_shards =
-            static_cast<std::uint64_t>(args.value_int("max-shards", 0));
+        wo.max_shards = args.value_u64("max-shards", 0);
         wo.telemetry_interval_seconds =
             args.value_double("telemetry-interval", 2.0);
         if (auto e = args.value("engine")) {

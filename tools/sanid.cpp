@@ -55,23 +55,21 @@ int main(int argc, char** argv) {
   options.socket_path = args.value_or("socket", "");
   if (options.socket_path.empty()) return usage("--socket is required");
   options.store_dir = args.value_or("store", "");
-  if (auto cap = args.value("store-max-bytes"))
-    options.store_max_bytes = std::stoull(*cap);
-  try {
-    options.queue_capacity =
-        static_cast<std::size_t>(args.value_int("queue-capacity", 64));
-    options.executors = args.value_int("executors", 2);
-  } catch (const std::invalid_argument& e) {
-    return usage(e.what());
-  }
-  if (options.executors < 1) return usage("--executors must be >= 1");
-
   // The journal always echoes to stderr so operators keep the one-line
   // lifecycle messages; --journal additionally persists structured NDJSON.
   obs::Journal::Options jopts;
   jopts.path = args.value_or("journal", "");
-  if (auto cap = args.value("journal-max-bytes"))
-    jopts.max_bytes = std::stoull(*cap);
+  try {
+    options.store_max_bytes =
+        args.value_u64("store-max-bytes", options.store_max_bytes);
+    options.queue_capacity = static_cast<std::size_t>(
+        args.value_u64("queue-capacity", options.queue_capacity));
+    options.executors = args.value_int("executors", 2);
+    jopts.max_bytes = args.value_u64("journal-max-bytes", jopts.max_bytes);
+  } catch (const std::invalid_argument& e) {
+    return usage(e.what());
+  }
+  if (options.executors < 1) return usage("--executors must be >= 1");
   jopts.echo_stderr = true;
   obs::Journal::instance().configure(jopts);
 
