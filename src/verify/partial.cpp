@@ -240,6 +240,8 @@ VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel,
   // report keeps it): what the canonical engine's manager is sized with.
   const bool needs_thaw = backend_info(options_.engine).needs_thaw;
   result.stats.dd_cache_bits = needs_thaw ? options_.cache_bits : 0;
+  result.stats.portfolio.chosen = options_.engine;
+  result.stats.portfolio.base_coefficients = base_coefficients;
 
   // Canonical phase set in first-use order, whatever engines produced the
   // partials: the report's shape is a function of the *canonical* options,
